@@ -61,6 +61,11 @@ def evaluate_dataset(dataset: data_io.Dataset, solvers: list[SolverKind],
     n_sessions, runs, n_images = data_io.grid_shape(dataset.layout)
     plan = metrics.session_kfold(n_sessions, runs, n_images,
                                  n_samples=dataset.features.shape[0])
+    train_limit = min(train_idx.size for train_idx, _ in plan.folds)
+    if hidden > train_limit:
+        raise _UsageError(
+            f"hidden must be <= {train_limit}, the number of training rows "
+            f"per fold, got {hidden}")
     cfg = elm.ElmConfig(hidden_neurons=hidden, solver=SolverKind.SVD,
                         rng_seed=seed, ridge_lambda=ridge_lambda)
     weights, biases = elm.init_random_layer(cfg, dataset.features.shape[1])

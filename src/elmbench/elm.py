@@ -157,15 +157,21 @@ def _normal_matrix(h: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
     return gram, h.T
 
 
+def _checked_svd(a: np.ndarray) -> linalg.SvdFactors:
+    """SVD of a, refused when its singular values collapse below tolerance."""
+    fac = linalg.svd(a)
+    if fac.sigma[0] == 0.0 or fac.sigma[-1] < linalg.PIVOT_RTOL * fac.sigma[0]:
+        raise RankDeficient("singular values collapse below tolerance")
+    return fac
+
+
 def _solve_svd(h: np.ndarray, t: np.ndarray, lam: float) -> np.ndarray:
     if lam > 0.0:
         gram, ht = _normal_matrix(h, lam)
-        fac = linalg.svd(gram)
+        fac = _checked_svd(gram)
         rhs = fac.u.T @ (ht @ t)
         return fac.v @ (rhs / fac.sigma)
-    fac = linalg.svd(h)
-    if fac.sigma[0] == 0.0 or fac.sigma[-1] < linalg.PIVOT_RTOL * fac.sigma[0]:
-        raise RankDeficient("singular values collapse below tolerance")
+    fac = _checked_svd(h)
     return fac.v @ ((fac.u.T @ t) / fac.sigma)
 
 
@@ -188,12 +194,19 @@ def _solve_qr(factorize):
     return solve
 
 
-def _solve_schur(h: np.ndarray, t: np.ndarray, lam: float) -> np.ndarray:
-    gram, ht = _normal_matrix(h, lam)
+def _checked_schur(gram: np.ndarray) -> tuple[linalg.SimilarityFactors, np.ndarray]:
+    """Schur form of the normal matrix and its eigenvalues, refused when an
+    eigenvalue falls below tolerance."""
     fac = linalg.schur_decompose(gram)
     eigs = np.diag(fac.t)
     if np.abs(eigs).min() < linalg.PIVOT_RTOL * max(np.abs(eigs).max(), 1e-300):
         raise SingularMatrix("eigenvalue of the normal matrix is below tolerance")
+    return fac, eigs
+
+
+def _solve_schur(h: np.ndarray, t: np.ndarray, lam: float) -> np.ndarray:
+    gram, ht = _normal_matrix(h, lam)
+    fac, eigs = _checked_schur(gram)
     return fac.q @ ((fac.q.T @ (ht @ t)) / eigs)
 
 
@@ -258,8 +271,10 @@ def hat_diagnostic(h, ridge_lambda: float,
     """Leave-one-out leverage: 1 - diag(h (h.T h + lambda I)^-1 h.T).
 
     The inner inverse is applied through the requested decomposition route;
-    ridge_lambda must be positive so the regularized normal matrix is always
-    invertible. Every entry lies in (0, 1].
+    ridge_lambda must be positive so the regularized normal matrix is
+    invertible in exact arithmetic; a route that finds it numerically
+    singular (say, lambda * I underflows) raises a LinAlgError. Every entry
+    lies in (0, 1].
     """
     h = as_matrix(h, "h")
     if ridge_lambda <= 0.0:
@@ -271,16 +286,14 @@ def hat_diagnostic(h, ridge_lambda: float,
 
 
 def _gram_solve_svd(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    fac = linalg.svd(gram)
+    fac = _checked_svd(gram)
     return fac.v @ ((fac.u.T @ rhs) / fac.sigma[:, None])
 
 
 def _gram_solve_lu(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     fac = linalg.lu_decompose(gram)
-    cols = [linalg.backward_substitute(
-        fac.u, linalg.forward_substitute(fac.l, rhs[fac.perm, j]))
-        for j in range(rhs.shape[1])]
-    return np.column_stack(cols)
+    return linalg.backward_substitute(
+        fac.u, linalg.forward_substitute(fac.l, rhs[fac.perm]))
 
 
 def _gram_solve_qr(factorize):
@@ -291,8 +304,8 @@ def _gram_solve_qr(factorize):
 
 
 def _gram_solve_schur(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    fac = linalg.schur_decompose(gram)
-    return fac.q @ ((fac.q.T @ rhs) / np.diag(fac.t)[:, None])
+    fac, eigs = _checked_schur(gram)
+    return fac.q @ ((fac.q.T @ rhs) / eigs[:, None])
 
 
 def _gram_solve_hessenberg(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:

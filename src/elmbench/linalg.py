@@ -143,15 +143,26 @@ def lu_decompose(a) -> LuFactors:
     return LuFactors(l=l, u=u, perm=perm)
 
 
+def _as_rhs(b, name: str) -> np.ndarray:
+    """Validate a right-hand side: a vector, or a matrix of columns."""
+    arr = np.array(b, dtype=float)
+    if arr.ndim == 2:
+        return as_matrix(arr, name)
+    return as_vector(arr, name)
+
+
 def forward_substitute(l, t) -> np.ndarray:
-    """Solve l @ y = t reading only the lower triangle of l."""
+    """Solve l @ y = t reading only the lower triangle of l.
+
+    t may be a vector or a matrix of right-hand-side columns.
+    """
     l = as_matrix(l, "l")
-    t = as_vector(t, "t")
+    t = _as_rhs(t, "t")
     _require_square(l, "l")
     n = l.shape[0]
-    if t.size != n:
-        raise DimensionMismatch(f"t has length {t.size}, expected {n}")
-    y = np.zeros(n)
+    if t.shape[0] != n:
+        raise DimensionMismatch(f"t has {t.shape[0]} rows, expected {n}")
+    y = np.zeros_like(t)
     for i in range(n):
         if l[i, i] == 0.0:
             raise SingularMatrix(f"zero diagonal at row {i}")
@@ -160,14 +171,17 @@ def forward_substitute(l, t) -> np.ndarray:
 
 
 def backward_substitute(u, y) -> np.ndarray:
-    """Solve u @ w = y reading only the upper triangle of u."""
+    """Solve u @ w = y reading only the upper triangle of u.
+
+    y may be a vector or a matrix of right-hand-side columns.
+    """
     u = as_matrix(u, "u")
-    y = as_vector(y, "y")
+    y = _as_rhs(y, "y")
     _require_square(u, "u")
     n = u.shape[0]
-    if y.size != n:
-        raise DimensionMismatch(f"y has length {y.size}, expected {n}")
-    w = np.zeros(n)
+    if y.shape[0] != n:
+        raise DimensionMismatch(f"y has {y.shape[0]} rows, expected {n}")
+    w = np.zeros_like(y)
     for i in range(n - 1, -1, -1):
         if u[i, i] == 0.0:
             raise SingularMatrix(f"zero diagonal at row {i}")
@@ -207,6 +221,45 @@ def mgs_qr(a) -> QrFactors:
     return QrFactors(q=q, r=r)
 
 
+def _householder_reduce(work: np.ndarray) -> tuple[list, np.ndarray]:
+    """Reduce work (rows >= cols) in place to upper-triangular form.
+
+    Returns the unit reflector of each column, None for a column that is
+    already zero on and below the diagonal and so is left alone, and the norm
+    each column had there when it was reflected (|r[j, j]|).
+    """
+    m = work.shape[1]
+    reflectors: list[np.ndarray | None] = []
+    pivots = np.zeros(m)
+    for j in range(m):
+        x = work[j:, j]
+        nrm = math.sqrt(x @ x)
+        pivots[j] = nrm
+        if nrm == 0.0:
+            reflectors.append(None)
+            continue
+        v = x.copy()
+        v[0] += math.copysign(nrm, x[0]) if x[0] != 0.0 else nrm
+        v /= math.sqrt(v @ v)
+        work[j:, j:] -= np.outer(v, 2.0 * (v @ work[j:, j:]))
+        reflectors.append(v)
+    return reflectors, pivots
+
+
+def _apply_reflectors(reflectors: list, n: int, top: np.ndarray) -> np.ndarray:
+    """Return q @ [top; 0], q the n-row product of the stored reflectors.
+
+    The reflectors are applied last to first, reflector j to rows j: only.
+    """
+    out = np.zeros((n, top.shape[1]))
+    out[:top.shape[0]] = top
+    for j in range(len(reflectors) - 1, -1, -1):
+        v = reflectors[j]
+        if v is not None:
+            out[j:, :] -= np.outer(v, 2.0 * (v @ out[j:, :]))
+    return out
+
+
 def householder_qr(a) -> QrFactors:
     """Thin QR assembled from successive Householder reflectors.
 
@@ -219,23 +272,11 @@ def householder_qr(a) -> QrFactors:
         raise DimensionMismatch(f"need rows >= cols, got {a.shape}")
     col_scale = np.sqrt(np.sum(a * a, axis=0))
     r_work = a.copy()
-    reflectors: list[np.ndarray] = []
-    for j in range(m):
-        x = r_work[j:, j]
-        nrm = math.sqrt(x @ x)
-        if nrm < PIVOT_RTOL * col_scale[j] or nrm == 0.0:
-            raise RankDeficient(f"column {j} collapsed during reflection")
-        v = x.copy()
-        v[0] += math.copysign(nrm, x[0]) if x[0] != 0.0 else nrm
-        v /= math.sqrt(v @ v)
-        r_work[j:, j:] -= 2.0 * np.outer(v, v @ r_work[j:, j:])
-        reflectors.append(v)
-    # Apply the reflectors in reverse to the leading columns of the identity.
-    q = np.zeros((n, m))
-    q[:m, :m] = np.eye(m)
-    for j in range(m - 1, -1, -1):
-        v = reflectors[j]
-        q[j:, :] -= 2.0 * np.outer(v, v @ q[j:, :])
+    reflectors, pivots = _householder_reduce(r_work)
+    collapsed = np.flatnonzero((pivots < PIVOT_RTOL * col_scale) | (pivots == 0.0))
+    if collapsed.size:
+        raise RankDeficient(f"column {collapsed[0]} collapsed during reflection")
+    q = _apply_reflectors(reflectors, n, np.eye(m))
     r = np.triu(r_work[:m, :m])
     flip = np.diag(r) < 0.0
     r[flip, :] *= -1.0
@@ -254,16 +295,7 @@ def triangular_inverse(r) -> np.ndarray:
     scale = np.abs(r).max()
     if np.any(np.abs(np.diag(r)) < PIVOT_RTOL * scale) or np.any(np.diag(r) == 0.0):
         raise SingularMatrix("triangular matrix has a near-zero diagonal entry")
-    return _upper_solve(r, np.eye(r.shape[0]))
-
-
-def _upper_solve(r: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Backward substitution with a matrix of right-hand sides."""
-    m = r.shape[0]
-    x = np.zeros_like(b)
-    for i in range(m - 1, -1, -1):
-        x[i] = (b[i] - r[i, i + 1:] @ x[i + 1:]) / r[i, i]
-    return x
+    return backward_substitute(r, np.eye(r.shape[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -424,72 +456,103 @@ def tridiagonal_solve(t, b) -> np.ndarray:
 # One-sided Jacobi SVD
 # ---------------------------------------------------------------------------
 
-def svd(a) -> SvdFactors:
-    """Thin SVD by one-sided Jacobi rotations.
+def _round_robin(m: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Round-robin (Brent-Luk) schedule of disjoint column pairs for one sweep.
 
-    Columns of a working copy are rotated pairwise until mutually orthogonal;
-    their norms become the singular values (sorted descending) and the
-    accumulated rotations give v. Columns whose singular value underflows are
+    Returns one (p, q) pair of index arrays per round, with p < q; together
+    the rounds meet every pair of range(m) exactly once. The last slot stays
+    put while the others move one place round a ring each round, so a sweep
+    is m - 1 rounds of m/2 pairs. Odd m is padded with a column that sits
+    out, giving m rounds of (m - 1)/2 pairs.
+    """
+    slots = m + m % 2
+    ring = slots - 1
+    r = np.arange(ring)[:, None]
+    offsets = np.arange(1, slots // 2)
+    i = np.hstack((r, (r + offsets) % ring))
+    j = np.hstack((np.full_like(r, ring), (r - offsets) % ring))
+    if m % 2:
+        i, j = i[:, 1:], j[:, 1:]
+    return [(p, q) for p, q in zip(np.minimum(i, j), np.maximum(i, j)) if p.size]
+
+
+def svd(a) -> SvdFactors:
+    """Thin SVD by QR-preconditioned one-sided Jacobi in round-robin order.
+
+    A wide matrix is factored through its transpose. A tall n x m matrix is
+    first reduced by Householder reflectors to its m x m triangular factor r.
+    The columns of r are then rotated pairwise until mutually orthogonal,
+    each round rotating a round-robin set of disjoint pairs at once; their
+    norms become the singular values (sorted descending) and the accumulated
+    rotations give v. The normalized columns are mapped back through the
+    reflectors to give u. Columns whose singular value underflows are
     completed to an orthonormal basis so u always has orthonormal columns.
     """
     a = as_matrix(a, "a")
+    wide = a.shape[0] < a.shape[1]
+    if wide:
+        a = np.ascontiguousarray(a.T)
     n, m = a.shape
-    k = min(n, m)
-    b = np.asfortranarray(a)
-    v = np.asfortranarray(np.eye(m))
+    reflectors, _ = _householder_reduce(a)
+    # Row i holds column i of r followed by column i of v, so one gather
+    # fetches everything a round rotates. Each round's pairs are interleaved
+    # (p0, q0, p1, q1, ...) so a pair is one 2 x 2m slab of the gather.
+    rows = np.zeros((m, 2 * m))
+    rows[:, :m] = np.triu(a[:m]).T
+    rows[:, m:] = np.eye(m)
+    rounds = [np.column_stack((p, q)).ravel() for p, q in _round_robin(m)]
     tol = DEFLATE_RTOL
     for _ in range(SVD_MAX_SWEEPS):
         # Squared column norms are refreshed once per sweep and then tracked
-        # through the exact rotation update, so the threshold test never pays
-        # for two extra dot products per pair.
-        norms2 = np.sum(b * b, axis=0)
+        # through the exact rotation update.
+        norms2 = np.einsum("ij,ij->i", rows[:, :m], rows[:, :m])
         rotated = False
-        for i in range(m - 1):
-            for j in range(i + 1, m):
-                nii = norms2[i]
-                njj = norms2[j]
-                # Columns with underflowed norms are numerically zero and
-                # cannot be rotated against anything.
-                if nii <= 0.0 or njj <= 0.0:
-                    continue
-                g = b[:, i] @ b[:, j]
-                if abs(g) <= tol * math.sqrt(nii * njj):
-                    continue
-                rotated = True
-                tau = (njj - nii) / (2.0 * g)
-                if abs(tau) > 1e8:
-                    t = 0.5 / tau  # asymptotic form, avoids tau*tau overflow
-                else:
-                    t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = c * t
-                bi = b[:, i].copy()
-                b[:, i] = c * bi - s * b[:, j]
-                b[:, j] = s * bi + c * b[:, j]
-                vi = v[:, i].copy()
-                v[:, i] = c * vi - s * v[:, j]
-                v[:, j] = s * vi + c * v[:, j]
-                norms2[i] = max(nii - t * g, 0.0)
-                norms2[j] = max(njj + t * g, 0.0)
+        for pq in rounds:
+            half = pq.size // 2
+            pair = rows[pq].reshape(half, 2, 2 * m)
+            n2 = norms2[pq].reshape(half, 2)
+            npp, nqq = n2[:, 0], n2[:, 1]
+            g = np.einsum("ij,ij->i", pair[:, 0, :m], pair[:, 1, :m])
+            # Columns with underflowed norms are numerically zero and cannot
+            # be rotated against anything; the rest rotate only when their
+            # cosine exceeds the threshold.
+            live = (np.minimum(npp, nqq) > 0.0) & (np.abs(g) > tol * np.sqrt(npp * nqq))
+            if not live.any():
+                continue
+            rotated = True
+            tau = (nqq - npp) / (2.0 * np.where(live, g, 1.0))
+            at = np.abs(tau)
+            t = np.where(at > 1e8, 0.5 / np.maximum(at, 1e8),  # asymptotic form
+                         1.0 / (at + np.hypot(1.0, at)))
+            t = np.copysign(t * live, tau)  # identity rotation below threshold
+            c = 1.0 / np.hypot(1.0, t)
+            s = c * t
+            rot = np.empty((half, 2, 2))
+            rot[:, 0, 0] = c
+            rot[:, 0, 1] = -s
+            rot[:, 1, 0] = s
+            rot[:, 1, 1] = c
+            rows[pq] = (rot @ pair).reshape(2 * half, 2 * m)
+            n2 += (t * g)[:, None] * [-1.0, 1.0]
+            norms2[pq] = np.maximum(n2, 0.0).ravel()
         if not rotated:
             break
     else:
         raise NoConvergence(f"columns not orthogonal after {SVD_MAX_SWEEPS} sweeps")
-    sigma_all = np.sqrt(np.sum(b * b, axis=0))
-    order = np.argsort(sigma_all)[::-1][:k]
+    sigma_all = np.sqrt(np.einsum("ij,ij->i", rows[:, :m], rows[:, :m]))
+    order = np.argsort(sigma_all)[::-1]
     sigma = sigma_all[order]
-    v_thin = np.ascontiguousarray(v[:, order])
-    u = np.zeros((n, k))
+    v = np.ascontiguousarray(rows[order, m:].T)
+    u_r = np.zeros((m, m))
     floor = sigma[0] * np.finfo(float).eps if sigma[0] > 0.0 else 0.0
-    dead: list[int] = []
-    for idx in range(k):
-        if sigma[idx] > floor and sigma[idx] > 0.0:
-            u[:, idx] = b[:, order[idx]] / sigma[idx]
-        else:
-            dead.append(idx)
-    if dead:
-        _fill_orthonormal(u, dead)
-    return SvdFactors(u=u, sigma=sigma, v=v_thin)
+    alive = (sigma > floor) & (sigma > 0.0)
+    u_r[:, alive] = rows[order[alive], :m].T / sigma[alive]
+    if not alive.all():
+        _fill_orthonormal(u_r, np.flatnonzero(~alive).tolist())
+    u = _apply_reflectors(reflectors, n, u_r)
+    if wide:
+        return SvdFactors(u=v, sigma=sigma, v=u)
+    return SvdFactors(u=u, sigma=sigma, v=v)
 
 
 def _fill_orthonormal(u: np.ndarray, dead: list[int]) -> None:

@@ -196,6 +196,14 @@ def test_evaluate_partial_failure_keeps_other_rows(tmp_path, monkeypatch):
     assert rows["svd"]["accuracy"] is not None
 
 
+def test_evaluate_rejects_hidden_above_training_rows(tmp_path, capsys):
+    csv = tmp_path / "d.csv"
+    assert main(["generate", "--seed", "7", "--out", str(csv)]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", str(csv), "--hidden", "900", "--repeats", "1"]) == 1
+    assert "792" in capsys.readouterr().err
+
+
 def test_evaluate_unknown_solver(tmp_path, capsys):
     path = _tiny_dataset(tmp_path)
     assert main(["evaluate", str(path), "--solvers", "qz"]) == 1

@@ -203,6 +203,17 @@ def test_solve_rank_deficient_raises(kind):
         solve_output_weights(h, t, kind)
 
 
+@pytest.mark.parametrize("solve", [
+    lambda h: solve_output_weights(h, np.ones(5), SolverKind.SVD, 1e-320),
+    lambda h: hat_diagnostic(h, 1e-320, SolverKind.SVD),
+    lambda h: hat_diagnostic(h, 1e-320, SolverKind.SCHUR),
+], ids=["solve-svd", "hat-svd", "hat-schur"])
+def test_underflowed_ridge_normal_matrix_raises(solve):
+    # lambda * I underflows, so the ridge normal matrix of a zero h is singular
+    with pytest.raises(LinAlgError):
+        solve(np.zeros((5, 3)))
+
+
 # ---------------------------------------------------------------------------
 # Train / predict
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from elmbench import (
     forward_substitute,
     hessenberg_reduce,
     householder_qr,
+    linalg,
     lu_decompose,
     mgs_qr,
     schur_decompose,
@@ -22,6 +23,7 @@ from elmbench import (
 )
 from elmbench.errors import (
     DimensionMismatch,
+    NoConvergence,
     NotSymmetric,
     RankDeficient,
     SingularMatrix,
@@ -124,6 +126,22 @@ def test_lu_substitution_solves_system():
     x = backward_substitute(f.u, y)
     assert fro(a @ x - b) <= 1e-10 * fro(b)
     assert np.allclose(x, np.linalg.solve(a, b))
+
+
+def test_substitutions_take_matrix_right_hand_sides():
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal((8, 8))
+    b = rng.standard_normal((8, 5))
+    f = lu_decompose(a)
+    x = backward_substitute(f.u, forward_substitute(f.l, b[f.perm]))
+    assert x.shape == (8, 5)
+    assert fro(a @ x - b) <= 1e-10 * fro(b)
+    # each column matches the vector solve of that column
+    for j in range(5):
+        col = backward_substitute(f.u, forward_substitute(f.l, b[f.perm, j]))
+        assert np.allclose(x[:, j], col, rtol=1e-12, atol=1e-14)
+    with pytest.raises(DimensionMismatch):
+        forward_substitute(f.l, b[:7])
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +372,25 @@ def test_svd_wide_matrix():
     assert f.u.shape == (1, 1) and f.v.shape == (3, 1)
     assert abs(f.sigma[0] - math.sqrt(14.0)) <= 1e-12
     assert fro(a - f.u @ np.diag(f.sigma) @ f.v.T) <= 1e-10 * fro(a)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 100])
+def test_svd_round_robin_meets_every_pair_once(m):
+    rounds = linalg._round_robin(m)
+    met = []
+    for p, q in rounds:
+        cols = np.concatenate((p, q))
+        assert np.unique(cols).size == cols.size  # pairs in a round are disjoint
+        assert np.all(p < q)
+        met += zip(p.tolist(), q.tolist())
+    assert sorted(met) == [(i, j) for i in range(m) for j in range(i + 1, m)]
+    assert len(rounds) == {1: 0, 2: 1, 3: 3, 100: 99}[m]
+
+
+def test_svd_sweep_budget_raises(monkeypatch):
+    monkeypatch.setattr(linalg, "SVD_MAX_SWEEPS", 1)
+    with pytest.raises(NoConvergence):
+        svd(np.random.default_rng(15).standard_normal((30, 10)))
 
 
 def test_constructors_reject_nonfinite():

@@ -90,16 +90,27 @@ def test_schur_invariants(seed):
     assert np.abs(f.t - np.diag(d)).max() == 0.0
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_svd_invariants(seed):
-    rng = np.random.default_rng(500 + seed)
-    n = int(rng.integers(3, 60))
-    m = int(rng.integers(1, n + 1))
-    a = rng.standard_normal((n, m))
+SVD_SHAPED_INPUTS = {
+    "zero-middle-column": lambda rng: rng.standard_normal((12, 5)) * [1, 1, 0, 1, 1],
+    "rank-4": lambda rng: rng.standard_normal((50, 4)) @ rng.standard_normal((4, 10)),
+    "wide-5x9": lambda rng: rng.standard_normal((5, 9)),
+}
+
+
+@pytest.mark.parametrize("case", [*range(8), *SVD_SHAPED_INPUTS])
+def test_svd_invariants(case):
+    if case in SVD_SHAPED_INPUTS:
+        a = SVD_SHAPED_INPUTS[case](np.random.default_rng(510))
+    else:
+        rng = np.random.default_rng(500 + case)
+        n = int(rng.integers(3, 60))
+        m = int(rng.integers(1, n + 1))
+        a = rng.standard_normal((n, m))
+    k = min(a.shape)
     f = svd(a)
     assert fro(a - f.u @ np.diag(f.sigma) @ f.v.T) <= 1e-10 * fro(a)
-    assert fro(f.u.T @ f.u - np.eye(m)) <= 1e-10
-    assert fro(f.v.T @ f.v - np.eye(m)) <= 1e-10
+    assert fro(f.u.T @ f.u - np.eye(k)) <= 1e-10
+    assert fro(f.v.T @ f.v - np.eye(k)) <= 1e-10
     assert np.all(f.sigma >= 0.0)
     assert np.all(np.diff(f.sigma) <= 0.0)
 
