@@ -176,13 +176,16 @@ def load_csv(path) -> Dataset:
 
 
 def grid_shape(layout: np.ndarray) -> tuple[int, int, int]:
-    """Recover (sessions, runs, images) from layout columns; validate the grid."""
+    """Recover (sessions, runs, images) from layout columns; validate the grid.
+
+    The layout must be exactly the ascending Cartesian product of its unique
+    session, run and image values: no key missing, none repeated.
+    """
     layout = np.asarray(layout)
-    n_sessions = len(np.unique(layout[:, 0]))
-    runs = len(np.unique(layout[:, 1]))
-    n_images = len(np.unique(layout[:, 2]))
-    if n_sessions * runs * n_images != layout.shape[0]:
+    axes = [np.unique(layout[:, c]) for c in range(3)]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    if layout.shape != grid.shape or not np.array_equal(layout, grid):
         raise LayoutMismatch(
             f"{layout.shape[0]} trials do not fill a "
-            f"{n_sessions}x{runs}x{n_images} grid")
-    return n_sessions, runs, n_images
+            f"{axes[0].size}x{axes[1].size}x{axes[2].size} grid in ascending order")
+    return axes[0].size, axes[1].size, axes[2].size

