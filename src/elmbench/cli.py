@@ -1,6 +1,7 @@
 """Command-line front end: generate data, run the fold benchmark, print flops.
 
-Exit codes: 0 on success, 1 on flag/validation errors, 2 on runtime errors.
+Exit codes: 0 on success, 1 on a flag or input file that breaks the contract
+(any ValueError), 2 on I/O and numerical errors or when every solver failed.
 """
 
 from __future__ import annotations
@@ -26,10 +27,6 @@ _METRIC_KEYS = ("sensitivity", "precision", "f_measure", "specificity",
                 "mcc", "accuracy")
 
 
-class _UsageError(Exception):
-    """Flag validation failure; maps to exit code 1."""
-
-
 def parse_solvers(spec: str) -> list[SolverKind]:
     if spec.strip().lower() == "all":
         return list(SOLVER_ORDER)
@@ -38,7 +35,7 @@ def parse_solvers(spec: str) -> list[SolverKind]:
     for token in spec.split(","):
         token = token.strip().lower()
         if token not in by_value:
-            raise _UsageError(
+            raise ValueError(
                 f"unknown solver '{token}' (choose from "
                 f"{', '.join(sorted(by_value))}, or 'all')")
         kinds.append(by_value[token])
@@ -63,7 +60,7 @@ def evaluate_dataset(dataset: data_io.Dataset, solvers: list[SolverKind],
                                  n_samples=dataset.features.shape[0])
     train_limit = min(train_idx.size for train_idx, _ in plan.folds)
     if hidden > train_limit:
-        raise _UsageError(
+        raise ValueError(
             f"hidden must be <= {train_limit}, the number of training rows "
             f"per fold, got {hidden}")
     cfg = elm.ElmConfig(hidden_neurons=hidden, solver=SolverKind.SVD,
@@ -169,7 +166,7 @@ def _format_table(rows: list[dict]) -> str:
 
 def cmd_generate(args) -> int:
     if args.snr <= 0.0:
-        raise _UsageError("snr must be positive")
+        raise ValueError("snr must be positive")
     epochs = data_io.synth_epochs(seed=args.seed, snr=args.snr)
     feats = metrics.grand_average(epochs)
     dataset = data_io.Dataset(features=feats, labels=epochs.labels,
@@ -181,11 +178,11 @@ def cmd_generate(args) -> int:
 
 def cmd_evaluate(args) -> int:
     if args.hidden < 1:
-        raise _UsageError("hidden must be >= 1")
+        raise ValueError("hidden must be >= 1")
     if args.ridge_lambda < 0.0:
-        raise _UsageError("lambda must be >= 0")
+        raise ValueError("lambda must be >= 0")
     if args.repeats < 1:
-        raise _UsageError("repeats must be >= 1")
+        raise ValueError("repeats must be >= 1")
     solvers = parse_solvers(args.solvers)
     dataset = data_io.load_csv(args.dataset)
     report, _ = evaluate_dataset(dataset, solvers, args.hidden,
@@ -205,7 +202,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_flops(args) -> int:
     if args.m < 1 or args.n < 1:
-        raise _UsageError("m and n must be positive")
+        raise ValueError("m and n must be positive")
     counts = {kind: flop_estimate(kind, args.m, args.n) for kind in SOLVER_ORDER}
     width = max(len(k.value) for k in SOLVER_ORDER)
     for kind in SOLVER_ORDER:
@@ -262,10 +259,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _UsageError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError, LinAlgError) as exc:
+    except (OSError, LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -150,10 +150,7 @@ def lu_decompose(a) -> LuFactors:
 
 def _as_rhs(b, name: str) -> np.ndarray:
     """Validate a right-hand side: a vector, or a matrix of columns."""
-    arr = np.array(b, dtype=float)
-    if arr.ndim == 2:
-        return as_matrix(arr, name)
-    return as_vector(arr, name)
+    return as_matrix(b, name) if np.ndim(b) == 2 else as_vector(b, name)
 
 
 def forward_substitute(l, t) -> np.ndarray:
@@ -226,42 +223,53 @@ def mgs_qr(a) -> QrFactors:
     return QrFactors(q=q, r=r)
 
 
-def _householder_reduce(work: np.ndarray) -> tuple[list, np.ndarray]:
+def _reflector(x: np.ndarray) -> np.ndarray | None:
+    """Unit v such that (I - 2 v v.T) @ x is a multiple of e_0, or None if x == 0.
+
+    The leading entry is shifted away from zero, so v @ v cannot cancel.
+    """
+    nrm = math.sqrt(x @ x)
+    if nrm == 0.0:
+        return None
+    v = x.copy()
+    v[0] += math.copysign(nrm, x[0]) if x[0] != 0.0 else nrm
+    v /= math.sqrt(v @ v)
+    return v
+
+
+def _householder_reduce(work: np.ndarray) -> list:
     """Reduce work (rows >= cols) in place to upper-triangular form.
 
     Returns the unit reflector of each column, None for a column that is
-    already zero on and below the diagonal and so is left alone, and the norm
-    each column had there when it was reflected (|r[j, j]|).
+    already zero on and below the diagonal and so is left alone.
     """
-    m = work.shape[1]
     reflectors: list[np.ndarray | None] = []
-    pivots = np.zeros(m)
-    for j in range(m):
-        x = work[j:, j]
-        nrm = math.sqrt(x @ x)
-        pivots[j] = nrm
-        if nrm == 0.0:
-            reflectors.append(None)
-            continue
-        v = x.copy()
-        v[0] += math.copysign(nrm, x[0]) if x[0] != 0.0 else nrm
-        v /= math.sqrt(v @ v)
-        work[j:, j:] -= np.outer(v, 2.0 * (v @ work[j:, j:]))
+    for j in range(work.shape[1]):
+        v = _reflector(work[j:, j])
+        if v is not None:
+            work[j:, j:] -= np.outer(v, 2.0 * (v @ work[j:, j:]))
         reflectors.append(v)
-    return reflectors, pivots
+    return reflectors
 
 
 def _apply_reflectors(reflectors: list, n: int, top: np.ndarray) -> np.ndarray:
     """Return q @ [top; 0], q the n-row product of the stored reflectors.
 
-    The reflectors are applied last to first, reflector j to rows j: only.
+    Every orthogonal factor is formed here: q itself from top = identity,
+    the SVD's u from its rotated triangular factor. The reflectors are
+    applied last to first, reflector j to rows j: only. When top is upper
+    triangular, as the identity is, columns < j are still zero in rows j:
+    when reflector j comes, so it cannot change them and is applied to
+    columns j: only.
     """
     out = np.zeros((n, top.shape[1]))
     out[:top.shape[0]] = top
+    triangular = not np.tril(top, -1).any()
     for j in range(len(reflectors) - 1, -1, -1):
         v = reflectors[j]
         if v is not None:
-            out[j:, :] -= np.outer(v, 2.0 * (v @ out[j:, :]))
+            c = j if triangular else 0
+            out[j:, c:] -= np.outer(v, 2.0 * (v @ out[j:, c:]))
     return out
 
 
@@ -277,12 +285,15 @@ def householder_qr(a) -> QrFactors:
         raise DimensionMismatch(f"need rows >= cols, got {a.shape}")
     col_scale = np.sqrt(np.sum(a * a, axis=0))
     r_work = np.ascontiguousarray(a)
-    reflectors, pivots = _householder_reduce(r_work)
+    reflectors = _householder_reduce(r_work)
+    r = np.triu(r_work[:m, :m])
+    # |r[j, j]| is the norm column j had on and below the diagonal when it
+    # was reflected.
+    pivots = np.abs(np.diag(r))
     collapsed = np.flatnonzero((pivots < PIVOT_RTOL * col_scale) | (pivots == 0.0))
     if collapsed.size:
         raise RankDeficient(f"column {collapsed[0]} collapsed during reflection")
     q = _apply_reflectors(reflectors, n, np.eye(m))
-    r = np.triu(r_work[:m, :m])
     flip = np.diag(r) < 0.0
     r[flip, :] *= -1.0
     q[:, flip] *= -1.0
@@ -318,33 +329,28 @@ def hessenberg_reduce(a) -> SimilarityFactors:
     _require_symmetric(a, "a")
     n = a.shape[0]
     work = np.ascontiguousarray(a)
-    q = np.eye(n)
+    # Reflector k acts on rows k + 1:, so it is stored at index k + 1.
+    reflectors: list[np.ndarray | None] = [None]
     for k in range(n - 2):
-        x = work[k + 1:, k]
-        nrm = math.sqrt(x @ x)
-        if nrm == 0.0:
+        v = _reflector(work[k + 1:, k])
+        reflectors.append(v)
+        if v is None:
             continue
-        v = x.copy()
-        v[0] += math.copysign(nrm, x[0]) if x[0] != 0.0 else nrm
-        v /= math.sqrt(v @ v)
         # Two-sided application keeps the trailing block symmetric.
         work[k + 1:, k:] -= 2.0 * np.outer(v, v @ work[k + 1:, k:])
         work[:, k + 1:] -= 2.0 * np.outer(work[:, k + 1:] @ v, v)
-        q[:, k + 1:] -= 2.0 * np.outer(q[:, k + 1:] @ v, v)
-    diag = np.diag(work).copy()
-    off = np.diag(work, -1).copy() if n > 1 else np.zeros(0)
-    t = np.diag(diag)
-    if n > 1:
-        t += np.diag(off, -1) + np.diag(off, 1)
-    return SimilarityFactors(q=q, t=t)
+    off = np.diag(work, -1)
+    t = np.diag(np.diag(work)) + np.diag(off, -1) + np.diag(off, 1)
+    return SimilarityFactors(q=_apply_reflectors(reflectors, n, np.eye(n)), t=t)
 
 
-def _tridiag_eigen(d: np.ndarray, e: np.ndarray, z: np.ndarray,
+def _tridiag_eigen(d: np.ndarray, e: np.ndarray, zt: np.ndarray,
                    deflate_tol: float, max_iter: int) -> None:
-    """Shifted QL iteration on a tridiagonal (d, e) with rotations folded into z.
+    """Shifted QL iteration on a tridiagonal (d, e) with rotations folded into zt.
 
-    d and z are updated in place; d ends up holding the eigenvalues and the
-    columns of z the matching eigenvectors.
+    d and zt are updated in place; d ends up holding the eigenvalues and the
+    rows of zt the matching eigenvectors. Keeping the vectors as rows makes
+    each rotation act on two contiguous rows.
     """
     n = d.size
     eps = np.finfo(float).eps
@@ -387,10 +393,7 @@ def _tridiag_eigen(d: np.ndarray, e: np.ndarray, z: np.ndarray,
                 p = s * r
                 d[i + 1] = g + p
                 g = c * r - b
-                zi = z[:, i].copy()
-                zi1 = z[:, i + 1].copy()
-                z[:, i + 1] = s * zi + c * zi1
-                z[:, i] = c * zi - s * zi1
+                zt[i:i + 2] = np.array([[c, -s], [s, c]]) @ zt[i:i + 2]
             if not restart:
                 d[l] -= p
                 e[l] = g
@@ -409,12 +412,13 @@ def schur_decompose(a) -> SimilarityFactors:
     n = a.shape[0]
     base = hessenberg_reduce(a)
     d = np.diag(base.t).copy()
-    e = np.diag(base.t, -1).copy() if n > 1 else np.zeros(0)
-    z = base.q
+    zt = np.ascontiguousarray(base.q.T)
     fro = math.sqrt(float(np.sum(a * a)))
-    _tridiag_eigen(d, e, z, DEFLATE_RTOL * fro, EIGEN_ITER_FACTOR * n)
+    _tridiag_eigen(d, np.diag(base.t, -1), zt, DEFLATE_RTOL * fro,
+                   EIGEN_ITER_FACTOR * n)
     order = np.argsort(d)[::-1]
-    return SimilarityFactors(q=z[:, order], t=np.diag(d[order]))
+    return SimilarityFactors(q=np.ascontiguousarray(zt[order].T),
+                             t=np.diag(d[order]))
 
 
 def tridiagonal_solve(t, b) -> np.ndarray:
@@ -427,19 +431,14 @@ def tridiagonal_solve(t, b) -> np.ndarray:
     t = as_matrix(t, "t")
     _require_square(t, "t")
     n = t.shape[0]
-    b_arr = np.array(b, dtype=float)
-    vector_input = b_arr.ndim == 1
-    if vector_input:
-        b_arr = b_arr[:, None]
-    if b_arr.shape[0] != n:
-        raise DimensionMismatch(f"b has {b_arr.shape[0]} rows, expected {n}")
-    if not np.all(np.isfinite(b_arr)):
-        raise ValueError("b contains NaN or infinite entries")
+    b = _as_rhs(b, "b")
+    if b.shape[0] != n:
+        raise DimensionMismatch(f"b has {b.shape[0]} rows, expected {n}")
     scale = max(np.abs(t).max(), 1.0)
     diag = np.diag(t).copy()
-    lower = np.diag(t, -1).copy() if n > 1 else np.zeros(0)
-    upper = np.diag(t, 1).copy() if n > 1 else np.zeros(0)
-    rhs = np.ascontiguousarray(b_arr)
+    lower = np.diag(t, -1)
+    upper = np.diag(t, 1)
+    rhs = np.ascontiguousarray(b.reshape(n, -1))
     # Thomas elimination: sweep down, then back-substitute.
     for i in range(1, n):
         piv = diag[i - 1]
@@ -454,7 +453,7 @@ def tridiagonal_solve(t, b) -> np.ndarray:
     x[n - 1] = rhs[n - 1] / diag[n - 1]
     for i in range(n - 2, -1, -1):
         x[i] = (rhs[i] - upper[i] * x[i + 1]) / diag[i]
-    return x[:, 0] if vector_input else x
+    return x.reshape(b.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -490,15 +489,15 @@ def svd(a) -> SvdFactors:
     each round rotating a round-robin set of disjoint pairs at once; their
     norms become the singular values (sorted descending) and the accumulated
     rotations give v. The normalized columns are mapped back through the
-    reflectors to give u. Columns whose singular value underflows are
-    completed to an orthonormal basis so u always has orthonormal columns.
+    reflectors to give u. Columns whose singular value underflows sort last;
+    they are completed to an orthonormal basis from the same reflector
+    kernel, so u always has orthonormal columns.
     """
     a = as_matrix(a, "a")
     wide = a.shape[0] < a.shape[1]
-    if wide:
-        a = np.ascontiguousarray(a.T)
+    a = np.ascontiguousarray(a.T if wide else a)
     n, m = a.shape
-    reflectors, _ = _householder_reduce(a)
+    reflectors = _householder_reduce(a)
     # Row i holds column i of r followed by column i of v, so one gather
     # fetches everything a round rotates. Each round's pairs are interleaved
     # (p0, q0, p1, q1, ...) so a pair is one 2 x 2m slab of the gather.
@@ -550,32 +549,17 @@ def svd(a) -> SvdFactors:
     v = np.ascontiguousarray(rows[order, m:].T)
     u_r = np.zeros((m, m))
     floor = sigma[0] * np.finfo(float).eps if sigma[0] > 0.0 else 0.0
-    alive = (sigma > floor) & (sigma > 0.0)
-    u_r[:, alive] = rows[order[alive], :m].T / sigma[alive]
-    if not alive.all():
-        _fill_orthonormal(u_r, np.flatnonzero(~alive).tolist())
+    live = int(np.count_nonzero((sigma > floor) & (sigma > 0.0)))
+    u_r[:, :live] = rows[order[:live], :m].T / sigma[:live]
+    if live < m:
+        # The trailing columns of the reflector product that triangularizes
+        # the live block span its orthogonal complement.
+        fill = _householder_reduce(u_r[:, :live].copy())
+        u_r[:, live:] = _apply_reflectors(fill, m, np.eye(m))[:, live:]
     u = _apply_reflectors(reflectors, n, u_r)
     if wide:
         return SvdFactors(u=v, sigma=sigma, v=u)
     return SvdFactors(u=u, sigma=sigma, v=v)
-
-
-def _fill_orthonormal(u: np.ndarray, dead: list[int]) -> None:
-    """Replace the listed columns with unit vectors orthogonal to the rest."""
-    n = u.shape[0]
-    filled = [idx for idx in range(u.shape[1]) if idx not in dead]
-    for idx in dead:
-        for basis in range(n):
-            cand = np.zeros(n)
-            cand[basis] = 1.0
-            for _ in range(2):
-                for other in filled:
-                    cand -= (u[:, other] @ cand) * u[:, other]
-            nrm = math.sqrt(cand @ cand)
-            if nrm > 0.1:
-                u[:, idx] = cand / nrm
-                filled.append(idx)
-                break
 
 
 # ---------------------------------------------------------------------------

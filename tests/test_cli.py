@@ -210,6 +210,21 @@ def test_evaluate_unknown_solver(tmp_path, capsys):
     assert "unknown solver" in capsys.readouterr().err
 
 
+def test_evaluate_contract_violation_exit_code(tmp_path, capsys):
+    # a duplicated and a missing grid key, sorted: not a 2x1x2 grid
+    layout = np.array([[0, 0, 0], [0, 0, 1], [0, 0, 1], [1, 0, 1]],
+                      dtype=np.int64)
+    grid = tmp_path / "grid.csv"
+    write_csv(Dataset(features=np.ones((4, 2)), labels=np.array([1, 0, 0, 0]),
+                      layout=layout), grid)
+    assert main(["evaluate", str(grid), "--repeats", "1"]) == 1
+    assert "do not fill a 2x1x2 grid" in capsys.readouterr().err
+    garbage = tmp_path / "garbage.csv"
+    garbage.write_text("session,run,image,label,f0\n0,0,0,1,oops\n")
+    assert main(["evaluate", str(garbage), "--repeats", "1"]) == 1
+    assert "row 1" in capsys.readouterr().err
+
+
 def test_evaluate_missing_file():
     assert main(["evaluate", "/nonexistent/x.csv"]) == 2
 

@@ -182,6 +182,14 @@ def test_mgs_rank_deficient():
         mgs_qr(a)
 
 
+def test_householder_rank_deficient():
+    duplicate = np.array([[1.0, 2.0], [1.0, 2.0], [1.0, 2.0]])
+    zero_middle = np.array([[1.0, 0.0, 2.0], [3.0, 0.0, 1.0], [0.0, 0.0, 5.0]])
+    for a in (duplicate, zero_middle):
+        with pytest.raises(RankDeficient, match="column 1 "):
+            householder_qr(a)
+
+
 def test_householder_identity():
     f = householder_qr(np.eye(2))
     assert np.allclose(f.q, np.eye(2))
@@ -259,6 +267,13 @@ def test_hessenberg_2x2_passthrough():
     f = hessenberg_reduce(a)
     assert np.array_equal(f.t, a)
     assert np.array_equal(f.q, np.eye(2))
+
+
+@pytest.mark.parametrize("factorize", [hessenberg_reduce, schur_decompose])
+def test_similarity_1x1(factorize):
+    f = factorize([[-2.5]])
+    assert np.array_equal(f.q, [[1.0]])
+    assert np.array_equal(f.t, [[-2.5]])
 
 
 def test_hessenberg_random_symmetric():
@@ -458,7 +473,7 @@ def test_never_mutates_caller_data(case):
 
 
 @pytest.mark.parametrize("factorize", [lu_decompose, mgs_qr, householder_qr,
-                                       hessenberg_reduce, schur_decompose])
+                                       hessenberg_reduce, schur_decompose, svd])
 def test_factorization_ignores_memory_order(factorize):
     rng = np.random.default_rng(31)
     a = rng.standard_normal((12, 5))
