@@ -9,6 +9,8 @@ the (augmented) normal matrix as well.
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -50,6 +52,7 @@ class ElmConfig:
     def __post_init__(self) -> None:
         if self.hidden_neurons < 1:
             raise ValueError("hidden_neurons must be >= 1")
+        _check_solve_args(self.solver, self.ridge_lambda)
         if self.ridge_lambda < 0.0:
             raise ValueError("ridge_lambda must be >= 0")
 
@@ -136,6 +139,9 @@ def solve_output_weights(h, targets, solver: SolverKind,
     (h.T h + lambda I) w = h.T t through its own factorization; with
     ridge_lambda = 0 the QR and SVD routes factor h directly.
     """
+    _check_solve_args(solver, ridge_lambda)
+    if ridge_lambda < 0.0:
+        raise ValueError("ridge_lambda must be >= 0")
     h = as_matrix(h, "h")
     t = as_vector(targets, "targets")
     if h.shape[0] != t.size:
@@ -144,11 +150,17 @@ def solve_output_weights(h, targets, solver: SolverKind,
     if h.shape[0] < h.shape[1]:
         raise DimensionMismatch(
             f"need at least as many samples as hidden neurons, got {h.shape}")
-    if ridge_lambda < 0.0:
-        raise ValueError("ridge_lambda must be >= 0")
     if ridge_lambda == 0.0 and (solver is SolverKind.SVD or solver in _QR):
         return _solve(solver, h, t)
     return _solve(solver, _normal_matrix(h, ridge_lambda), h.T @ t)
+
+
+def _check_solve_args(solver, ridge_lambda) -> None:
+    """Raise ValueError unless ridge_lambda is finite real and solver a SolverKind."""
+    if not isinstance(ridge_lambda, numbers.Real) or not math.isfinite(ridge_lambda):
+        raise ValueError(f"ridge_lambda must be a finite real number, got {ridge_lambda!r}")
+    if not isinstance(solver, SolverKind):
+        raise ValueError(f"solver must be a SolverKind, got {solver!r}")
 
 
 def _normal_matrix(h: np.ndarray, lam: float) -> np.ndarray:
@@ -249,9 +261,10 @@ def hat_diagnostic(h, ridge_lambda: float,
     singular (say, lambda * I underflows) raises a LinAlgError. Every entry
     lies in (0, 1].
     """
-    h = as_matrix(h, "h")
+    _check_solve_args(solver, ridge_lambda)
     if ridge_lambda <= 0.0:
         raise ValueError("ridge_lambda must be positive")
+    h = as_matrix(h, "h")
     # (m, n) columns of (h.T h + lam I)^-1 h.T
     inner = _solve(solver, _normal_matrix(h, ridge_lambda), h.T)
     return 1.0 - np.einsum("ij,ji->i", h, inner)

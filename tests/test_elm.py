@@ -156,6 +156,18 @@ def test_solvers_pairwise_equivalent_when_well_conditioned():
             assert np.linalg.norm(ws[i] - ws[j]) <= 1e-6 * scale
 
 
+def test_small_norm_hidden_output_solves_through_hessenberg():
+    # The tridiagonal pivot test is relative to the normal matrix, so scaling
+    # h by 1e-6 (its Gram matrix by 1e-12) does not make it singular.
+    rng = np.random.default_rng(5)
+    h = hidden_output(rng.uniform(0.0, 1.0, (60, 6)), rng.uniform(-1.0, 1.0, (6, 12)),
+                      rng.uniform(-1.0, 1.0, 12), ActivationKind.LOGISTIC_SIGMOID)
+    t = (rng.random(60) < 0.5).astype(float)
+    w = solve_output_weights(h * 1e-6, t, SolverKind.HESSENBERG)
+    w_lu = solve_output_weights(h * 1e-6, t, SolverKind.LU)
+    assert np.linalg.norm(w - w_lu) <= 1e-8 * np.linalg.norm(w_lu)
+
+
 def test_normal_equations_residual():
     rng = np.random.default_rng(23)
     h = rng.uniform(-1.0, 1.0, (40, 8))
@@ -342,3 +354,15 @@ def test_hat_trace_bound():
 def test_hat_requires_positive_lambda():
     with pytest.raises(ValueError):
         hat_diagnostic(np.eye(3), 0.0)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda h: hat_diagnostic(h, SolverKind.HH_QR, 0.1), "ridge_lambda"),
+    (lambda h: solve_output_weights(h, np.ones(6), "svd"), "solver"),
+    (lambda h: ElmConfig(hidden_neurons=2, solver="svd"), "solver"),
+    (lambda h: ElmConfig(hidden_neurons=2, ridge_lambda="0.1"), "ridge_lambda"),
+], ids=["hat-swapped-arguments", "solve-solver-string", "config-solver-string",
+        "config-ridge-string"])
+def test_rejects_mistyped_route_arguments(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        call(np.ones((6, 2)))

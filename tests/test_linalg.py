@@ -185,9 +185,55 @@ def test_mgs_rank_deficient():
 def test_householder_rank_deficient():
     duplicate = np.array([[1.0, 2.0], [1.0, 2.0], [1.0, 2.0]])
     zero_middle = np.array([[1.0, 0.0, 2.0], [3.0, 0.0, 1.0], [0.0, 0.0, 5.0]])
-    for a in (duplicate, zero_middle):
-        with pytest.raises(RankDeficient, match="column 1 "):
+    # A zero column in the second block stays exactly zero under the first
+    # block's update, so its pivot is exactly zero.
+    nb = linalg._NB
+    zero_late = np.random.default_rng(37).standard_normal((nb + 20, nb + 5))
+    zero_late[:, nb + 2] = 0.0
+    for a, col in ((duplicate, 1), (zero_middle, 1), (zero_late, nb + 2)):
+        with pytest.raises(RankDeficient, match=f"column {col} "):
             householder_qr(a)
+
+
+def _reflector_loop_reduce(work):
+    """Reference: reflect one column at a time, updating every later column."""
+    reflectors = []
+    for j in range(work.shape[1]):
+        v = linalg._reflector(work[j:, j])
+        if v is not None:
+            work[j:, j:] -= 2.0 * np.outer(v, v @ work[j:, j:])
+        reflectors.append(v)
+    return reflectors
+
+
+def _reflector_loop_apply(reflectors, n, top):
+    """Reference: q @ [top; 0] by one reflector at a time, last to first."""
+    out = np.zeros((n, top.shape[1]))
+    out[:top.shape[0]] = top
+    for j in range(len(reflectors) - 1, -1, -1):
+        v = reflectors[j]
+        if v is not None:
+            out[j:] -= 2.0 * np.outer(v, v @ out[j:])
+    return out
+
+
+@pytest.mark.parametrize("cols", [1, linalg._NB - 1, linalg._NB + 1, 2 * linalg._NB + 1])
+def test_blocked_householder_matches_reflector_loop(cols):
+    rng = np.random.default_rng(41)
+    a = rng.standard_normal((cols + 15, cols))
+    a[:, cols // 2] = 0.0  # a None reflector inside a block
+    n = a.shape[0]
+    blocked, looped = a.copy(), a.copy()
+    refl = linalg._householder_reduce(blocked)
+    ref_refl = _reflector_loop_reduce(looped)
+    # The blocked update reorders the sums, so agreement is to round-off.
+    tol = 100 * n * np.finfo(float).eps
+    assert [v is None for v in refl] == [v is None for v in ref_refl]
+    assert fro(np.triu(blocked[:cols]) - np.triu(looped[:cols])) <= tol * fro(a)
+    for top in (np.eye(cols), rng.standard_normal((cols, cols))):
+        got = linalg._apply_reflectors(refl, n, top)
+        want = _reflector_loop_apply(refl, n, top)
+        assert fro(got - want) <= tol * fro(top)
 
 
 def test_householder_identity():
@@ -344,6 +390,12 @@ def test_tridiagonal_solve_random():
 def test_tridiagonal_solve_singular():
     with pytest.raises(SingularMatrix):
         tridiagonal_solve(np.zeros((3, 3)), np.ones(3))
+
+
+def test_tridiagonal_solve_pivot_test_is_relative():
+    # Pivots are compared with the largest entry of t, however small it is.
+    x = tridiagonal_solve(1e-13 * np.eye(3), np.ones(3))
+    assert np.allclose(x, 1e13, rtol=1e-15, atol=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from elmbench import (
     forward_substitute,
     hessenberg_reduce,
     householder_qr,
+    linalg,
     lu_decompose,
     mgs_qr,
     schur_decompose,
@@ -23,6 +24,11 @@ from elmbench import (
 
 def fro(a):
     return np.linalg.norm(a)
+
+
+# Column counts either side of the Householder kernel's block boundaries.
+NB = linalg._NB
+BLOCK_COLUMNS = {"nb-1": NB - 1, "nb": NB, "nb+1": NB + 1, "2nb+1": 2 * NB + 1}
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -48,12 +54,16 @@ def test_substitution_solves_pivoted_system(seed):
     assert fro(a @ w - t) <= 1e-10 * fro(t)
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_qr_invariants(seed):
-    rng = np.random.default_rng(200 + seed)
-    n = int(rng.integers(4, 60))
-    m = int(rng.integers(1, n + 1))
-    a = rng.standard_normal((n, m))
+@pytest.mark.parametrize("case", [*range(8), *BLOCK_COLUMNS])
+def test_qr_invariants(case):
+    if case in BLOCK_COLUMNS:
+        m = BLOCK_COLUMNS[case]
+        a = np.random.default_rng(210).standard_normal((m + 9, m))
+    else:
+        rng = np.random.default_rng(200 + case)
+        n = int(rng.integers(4, 60))
+        m = int(rng.integers(1, n + 1))
+        a = rng.standard_normal((n, m))
     for factorize in (mgs_qr, householder_qr):
         f = factorize(a)
         assert fro(f.q.T @ f.q - np.eye(m)) <= 1e-10
@@ -62,11 +72,15 @@ def test_qr_invariants(seed):
         assert np.all(np.diag(f.r) >= 0.0)
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_hessenberg_invariants(seed):
-    rng = np.random.default_rng(300 + seed)
-    n = int(rng.integers(2, 50))
-    a = rng.standard_normal((n, n))
+@pytest.mark.parametrize("case", [*range(8), *BLOCK_COLUMNS])
+def test_hessenberg_invariants(case):
+    if case in BLOCK_COLUMNS:
+        n = BLOCK_COLUMNS[case]
+        a = np.random.default_rng(310).standard_normal((n, n))
+    else:
+        rng = np.random.default_rng(300 + case)
+        n = int(rng.integers(2, 50))
+        a = rng.standard_normal((n, n))
     a = a + a.T
     f = hessenberg_reduce(a)
     assert fro(a - f.q @ f.t @ f.q.T) <= 1e-10 * fro(a)
@@ -90,16 +104,29 @@ def test_schur_invariants(seed):
     assert np.abs(f.t - np.diag(d)).max() == 0.0
 
 
+def _zero_column_second_block(rng):
+    # The preconditioner's reflector for the zero column is None inside the
+    # second block, and the 2NB + 5 live columns of u are completed through
+    # the blocked reduction.
+    a = rng.standard_normal((2 * NB + 16, 2 * NB + 6))
+    a[:, NB + 8] = 0.0
+    return a
+
+
 SVD_SHAPED_INPUTS = {
     "zero-middle-column": lambda rng: rng.standard_normal((12, 5)) * [1, 1, 0, 1, 1],
     "rank-4": lambda rng: rng.standard_normal((50, 4)) @ rng.standard_normal((4, 10)),
     "wide-5x9": lambda rng: rng.standard_normal((5, 9)),
+    "zero-column-second-block": _zero_column_second_block,
 }
 
 
-@pytest.mark.parametrize("case", [*range(8), *SVD_SHAPED_INPUTS])
+@pytest.mark.parametrize("case", [*range(8), *SVD_SHAPED_INPUTS, *BLOCK_COLUMNS])
 def test_svd_invariants(case):
-    if case in SVD_SHAPED_INPUTS:
+    if case in BLOCK_COLUMNS:
+        m = BLOCK_COLUMNS[case]
+        a = np.random.default_rng(520).standard_normal((m + 9, m))
+    elif case in SVD_SHAPED_INPUTS:
         a = SVD_SHAPED_INPUTS[case](np.random.default_rng(510))
     else:
         rng = np.random.default_rng(500 + case)
