@@ -20,8 +20,7 @@ from . import elm, metrics
 from .errors import LinAlgError
 from .linalg import SolverKind, flop_estimate
 
-SOLVER_ORDER = (SolverKind.SVD, SolverKind.LU, SolverKind.MGS_QR,
-                SolverKind.HH_QR, SolverKind.HESSENBERG, SolverKind.SCHUR)
+SOLVER_ORDER = tuple(SolverKind)
 
 _METRIC_KEYS = ("sensitivity", "precision", "f_measure", "specificity",
                 "mcc", "accuracy")

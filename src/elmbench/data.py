@@ -9,6 +9,7 @@ session-based fold planner relies on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -165,7 +166,7 @@ def load_csv(path) -> Dataset:
             except ValueError as exc:
                 raise ParseError(
                     f"{path}: row {r}, column f{c}: {exc}") from exc
-            if not np.isfinite(val):
+            if not math.isfinite(val):
                 raise ParseError(
                     f"{path}: row {r}, column f{c}: non-finite value {cell}")
             features[r - 1, c] = val

@@ -23,7 +23,7 @@ from .errors import (
 )
 
 # Relative thresholds: pivots/diagonals below PIVOT_RTOL * scale are treated
-# as zero; iterative off-diagonals must deflate below DEFLATE_RTOL * ||a||_F.
+# as zero; the SVD rotates a column pair while its cosine exceeds DEFLATE_RTOL.
 PIVOT_RTOL = 1e-12
 DEFLATE_RTOL = 1e-12
 SYMMETRY_RTOL = 1e-10
@@ -200,31 +200,30 @@ def backward_substitute(u, y) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def mgs_qr(a) -> QrFactors:
-    """Thin QR by the modified Gram-Schmidt process.
+    """Thin QR by the modified Gram-Schmidt process, right-looking.
 
-    Each column is orthogonalized against the already-finished q columns one
-    projection at a time, using the partially reduced column for every inner
-    product. The diagonal of r is non-negative by construction.
+    Each finished q column is projected out of every later column at once,
+    so each column still gets its projections in order, each inner product
+    taken with the partially reduced column. r has a non-negative diagonal.
     """
     a = as_matrix(a, "a")
     n, m = a.shape
     if n < m:
         raise DimensionMismatch(f"need rows >= cols, got {a.shape}")
     col_scale = np.sqrt(np.sum(a * a, axis=0))
-    q = np.ascontiguousarray(a)
+    # The matrix is worked on transposed, so each column is a contiguous row.
+    qt = np.ascontiguousarray(a.T)
     r = np.zeros((m, m))
     for j in range(m):
-        v = q[:, j]
-        for i in range(j):
-            rij = q[:, i] @ v
-            v -= rij * q[:, i]
-            r[i, j] = rij
+        v = qt[j]
         nrm = math.sqrt(v @ v)
         if nrm < PIVOT_RTOL * col_scale[j] or nrm == 0.0:
             raise RankDeficient(f"column {j} collapsed during orthogonalization")
         r[j, j] = nrm
         v /= nrm
-    return QrFactors(q=q, r=r)
+        r[j, j + 1:] = qt[j + 1:] @ v
+        qt[j + 1:] -= np.outer(r[j, j + 1:], v)
+    return QrFactors(q=np.ascontiguousarray(qt.T), r=r)
 
 
 def _reflector(x: np.ndarray) -> np.ndarray | None:
@@ -386,23 +385,24 @@ def hessenberg_reduce(a) -> SimilarityFactors:
 
 
 def _tridiag_eigen(d: np.ndarray, e: np.ndarray, zt: np.ndarray,
-                   deflate_tol: float, max_iter: int) -> None:
+                   max_iter: int) -> np.ndarray:
     """Shifted QL iteration on a tridiagonal (d, e) with rotations folded into zt.
 
-    d and zt are updated in place; d ends up holding the eigenvalues and the
-    rows of zt the matching eigenvectors. Keeping the vectors as rows makes
-    each rotation act on two contiguous rows.
+    Returns the eigenvalues; the rows of zt, updated in place, become the
+    matching eigenvectors, so each rotation acts on two contiguous rows.
+    e[m] deflates once |e[m]| <= eps * (|d[m]| + |d[m + 1]|), relative to
+    its own neighbours, so small eigenvalues keep their relative accuracy.
+    The scalars are Python floats, which are faster here than numpy's.
     """
     n = d.size
-    eps = np.finfo(float).eps
-    e = np.append(e, 0.0)
+    eps = float(np.finfo(float).eps)
+    d, e = d.tolist(), e.tolist() + [0.0]
     total = 0
     for l in range(n):
         while True:
             m = l
             while m < n - 1:
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(e[m]) <= max(deflate_tol, eps * dd):
+                if abs(e[m]) <= eps * (abs(d[m]) + abs(d[m + 1])):
                     break
                 m += 1
             if m == l:
@@ -439,24 +439,23 @@ def _tridiag_eigen(d: np.ndarray, e: np.ndarray, zt: np.ndarray,
                 d[l] -= p
                 e[l] = g
                 e[m] = 0.0
+    return np.array(d)
 
 
 def schur_decompose(a) -> SimilarityFactors:
     """Real Schur form of a symmetric (PSD in practice) matrix.
 
     Tridiagonalizes with Householder reflectors, then drives the off-diagonal
-    to zero with shifted QL iterations. For symmetric input t is diagonal with
+    to zero with shifted QL iterations; an off-diagonal entry deflates below
+    eps times the sum of its two diagonal neighbours. t is diagonal with
     eigenvalues in descending order; q columns are permuted to match.
     """
     a = as_matrix(a, "a")
     _require_symmetric(a, "a")
     n = a.shape[0]
     base = hessenberg_reduce(a)
-    d = np.diag(base.t).copy()
     zt = np.ascontiguousarray(base.q.T)
-    fro = math.sqrt(float(np.sum(a * a)))
-    _tridiag_eigen(d, np.diag(base.t, -1), zt, DEFLATE_RTOL * fro,
-                   EIGEN_ITER_FACTOR * n)
+    d = _tridiag_eigen(np.diag(base.t), np.diag(base.t, -1), zt, EIGEN_ITER_FACTOR * n)
     order = np.argsort(d)[::-1]
     return SimilarityFactors(q=np.ascontiguousarray(zt[order].T),
                              t=np.diag(d[order]))
@@ -568,8 +567,7 @@ def svd(a) -> SvdFactors:
             rotated = True
             tau = (nqq - npp) / (2.0 * np.where(live, g, 1.0))
             at = np.abs(tau)
-            t = np.where(at > 1e8, 0.5 / np.maximum(at, 1e8),  # asymptotic form
-                         1.0 / (at + np.hypot(1.0, at)))
+            t = 1.0 / (at + np.hypot(1.0, at))
             t = np.copysign(t * live, tau)  # identity rotation below threshold
             c = 1.0 / np.hypot(1.0, t)
             s = c * t

@@ -178,6 +178,20 @@ def test_normal_equations_residual():
                 <= 1e-8 * np.linalg.norm(h.T @ t))
 
 
+def test_ill_conditioned_normal_equations_residual():
+    # cond(h.T h) = 1e10: Schur's deflation must stay relative to the small
+    # eigenvalues, or its residual lands far above the other routes'.
+    rng = np.random.default_rng(3)
+    u = np.linalg.qr(rng.standard_normal((60, 20)))[0]
+    v = np.linalg.qr(rng.standard_normal((20, 20)))[0]
+    h = u @ np.diag(np.geomspace(1.0, 1e-5, 20)) @ v.T
+    t = rng.standard_normal(60)
+    for kind in ALL_SOLVERS:
+        w = solve_output_weights(h, t, kind)
+        assert (np.linalg.norm(h.T @ (h @ w - t))
+                <= 1e-9 * np.linalg.norm(h.T @ t)), kind
+
+
 @pytest.mark.parametrize("kind", ALL_SOLVERS)
 def test_ridge_matches_dense_oracle(kind):
     rng = np.random.default_rng(29)

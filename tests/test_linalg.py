@@ -182,6 +182,32 @@ def test_mgs_rank_deficient():
         mgs_qr(a)
 
 
+def _left_looking_mgs(a):
+    """Reference: orthogonalize each column against the finished q columns."""
+    q = a.copy()
+    m = a.shape[1]
+    r = np.zeros((m, m))
+    for j in range(m):
+        for i in range(j):
+            r[i, j] = q[:, i] @ q[:, j]
+            q[:, j] -= r[i, j] * q[:, i]
+        r[j, j] = np.sqrt(q[:, j] @ q[:, j])
+        q[:, j] /= r[j, j]
+    return q, r
+
+
+@pytest.mark.parametrize("shape", [(40, 12), (12, 12), (1, 1), (30, 1)])
+def test_mgs_matches_left_looking_loop(shape):
+    a = np.random.default_rng(43).standard_normal(shape)
+    f = mgs_qr(a)
+    q, r = _left_looking_mgs(a)
+    # Same projections in the same order; only the inner-product kernels
+    # differ, so agreement is to round-off.
+    tol = 100 * shape[0] * np.finfo(float).eps
+    assert fro(f.q - q) <= tol * math.sqrt(shape[1])
+    assert fro(f.r - r) <= tol * fro(a)
+
+
 def test_householder_rank_deficient():
     duplicate = np.array([[1.0, 2.0], [1.0, 2.0], [1.0, 2.0]])
     zero_middle = np.array([[1.0, 0.0, 2.0], [3.0, 0.0, 1.0], [0.0, 0.0, 5.0]])
@@ -465,6 +491,12 @@ def test_svd_sweep_budget_raises(monkeypatch):
     monkeypatch.setattr(linalg, "SVD_MAX_SWEEPS", 1)
     with pytest.raises(NoConvergence):
         svd(np.random.default_rng(15).standard_normal((30, 10)))
+
+
+def test_schur_iteration_budget_raises(monkeypatch):
+    monkeypatch.setattr(linalg, "EIGEN_ITER_FACTOR", 0)
+    with pytest.raises(NoConvergence):
+        schur_decompose(np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]]))
 
 
 def test_constructors_reject_nonfinite():
