@@ -164,8 +164,6 @@ def _format_table(rows: list[dict]) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_generate(args) -> int:
-    if args.snr <= 0.0:
-        raise ValueError("snr must be positive")
     epochs = data_io.synth_epochs(seed=args.seed, snr=args.snr)
     feats = metrics.grand_average(epochs)
     dataset = data_io.Dataset(features=feats, labels=epochs.labels,

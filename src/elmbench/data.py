@@ -65,8 +65,8 @@ def synth_epochs(seed: int, n_sessions: int = 12, runs_per_session: int = 6,
     25 ms) on every channel, on top of unit-variance noise. All other trials
     are pure noise.
     """
-    if snr <= 0.0:
-        raise ValueError("snr must be positive")
+    if not (math.isfinite(snr) and snr > 0.0):
+        raise ValueError(f"snr must be positive and finite, got {snr}")
     if min(n_sessions, runs_per_session, n_images, channels, samples) < 1:
         raise ValueError("grid dimensions must be positive")
     rng = np.random.default_rng(seed)
@@ -101,17 +101,27 @@ def write_csv(dataset: Dataset, path) -> None:
 
     Feature values are written with 17 significant digits so a round trip
     reproduces them bit for bit. Rows must already be in ascending
-    (session, run, image) order.
+    (session, run, image) order. What load_csv would refuse is refused here
+    too: a non-finite feature raises SchemaError and a label outside
+    {0, 1} raises InvalidLabel.
     """
     feats = np.asarray(dataset.features, dtype=float)
     if feats.ndim != 2 or feats.shape[1] < 1:
         raise SchemaError("dataset must have at least one feature column")
     if feats.shape[0] < 1:
         raise SchemaError("dataset must have at least one row")
+    bad = np.flatnonzero(~np.isfinite(feats).all(axis=1))
+    if bad.size:
+        raise SchemaError(f"row {bad[0] + 1}: non-finite feature value")
     labels = np.asarray(dataset.labels)
     layout = np.asarray(dataset.layout)
     if labels.shape[0] != feats.shape[0] or layout.shape[0] != feats.shape[0]:
         raise SchemaError("labels/layout row count does not match features")
+    bad = np.flatnonzero(~np.isin(labels, (0, 1)))
+    if bad.size:
+        raise InvalidLabel(
+            f"row {bad[0] + 1}: label must be 0 or 1, got {labels[bad[0]]}")
+    labels = labels.astype(np.int64)  # 1.0 would be written as "1.0"
     keys = [tuple(row) for row in layout]
     if keys != sorted(keys):
         raise SchemaError("rows must be ordered by (session, run, image)")

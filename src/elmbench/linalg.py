@@ -65,19 +65,29 @@ class QrFactors:
 
 @dataclass(frozen=True)
 class SimilarityFactors:
-    """Orthogonal similarity a == q @ t @ q.T."""
+    """Orthogonal similarity a == q @ t @ q.T.
+
+    iterations counts the QL iterations Schur used (budget
+    EIGEN_ITER_FACTOR * n); a direct reduction reports 0.
+    """
 
     q: np.ndarray
     t: np.ndarray
+    iterations: int = 0
 
 
 @dataclass(frozen=True)
 class SvdFactors:
-    """Thin singular value decomposition a ~= u @ diag(sigma) @ v.T."""
+    """Thin singular value decomposition a ~= u @ diag(sigma) @ v.T.
+
+    sweeps counts the Jacobi sweeps run (budget SVD_MAX_SWEEPS), the last
+    one being the sweep that found nothing left to rotate.
+    """
 
     u: np.ndarray
     sigma: np.ndarray
     v: np.ndarray
+    sweeps: int = 0
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -384,19 +394,51 @@ def hessenberg_reduce(a) -> SimilarityFactors:
     return SimilarityFactors(q=_apply_reflectors(reflectors, n, np.eye(n)), t=t)
 
 
+def _rotate_pairs(rows: np.ndarray, pq: np.ndarray, pair: np.ndarray,
+                  c: np.ndarray, s: np.ndarray) -> None:
+    """Rotate disjoint pairs of rows in place, all by one batched 2 x 2 product.
+
+    pq interleaves the pairs' row indices (p0, q0, p1, q1, ...) and pair is
+    rows[pq] reshaped to (pairs, 2, width); the caller gathers it, so it can
+    read the pairs first. Pair k's rows p and q become c[k] p - s[k] q and
+    s[k] p + c[k] q. Both Schur's QL layers and the SVD's Jacobi rounds
+    rotate through here.
+    """
+    rot = np.empty((c.size, 2, 2))
+    rot[:, 0, 0] = c
+    rot[:, 0, 1] = -s
+    rot[:, 1, 0] = s
+    rot[:, 1, 1] = c
+    rows[pq] = (rot @ pair).reshape(pq.size, -1)
+
+
 def _tridiag_eigen(d: np.ndarray, e: np.ndarray, zt: np.ndarray,
-                   max_iter: int) -> np.ndarray:
+                   max_iter: int) -> tuple[np.ndarray, int]:
     """Shifted QL iteration on a tridiagonal (d, e) with rotations folded into zt.
 
-    Returns the eigenvalues; the rows of zt, updated in place, become the
-    matching eigenvectors, so each rotation acts on two contiguous rows.
-    e[m] deflates once |e[m]| <= eps * (|d[m]| + |d[m + 1]|), relative to
-    its own neighbours, so small eigenvalues keep their relative accuracy.
-    The scalars are Python floats, which are faster here than numpy's.
+    Returns the eigenvalues and the number of QL iterations used; the rows of
+    zt, updated in place, become the matching eigenvectors. e[m] deflates
+    once |e[m]| <= eps * (|d[m]| + |d[m + 1]|), relative to its own
+    neighbours, so small eigenvalues keep their relative accuracy. It works
+    in three steps:
+
+    - record: the scalar QL loop runs on Python floats, which are faster
+      here than numpy's, and records each rotation (i, c, s) of rows i and
+      i + 1 instead of applying it;
+    - layer: each rotation goes one layer past the last layer that touched
+      row i or row i + 1, so the rotations of a layer act on disjoint row
+      pairs and every row meets its rotations in recorded order;
+    - apply: each layer rotates its row pairs of zt at once (_rotate_pairs).
+
+    Rotations of one layer commute, so zt ends as the recorded order leaves
+    it. This is the wavefront order of Van Zee, van de Geijn & Quintana-Orti,
+    "Restructuring the tridiagonal and bidiagonal QR algorithms for
+    performance" (ACM TOMS 40(3), 2014).
     """
     n = d.size
     eps = float(np.finfo(float).eps)
     d, e = d.tolist(), e.tolist() + [0.0]
+    rotations: list[tuple[int, float, float]] = []
     total = 0
     for l in range(n):
         while True:
@@ -434,12 +476,28 @@ def _tridiag_eigen(d: np.ndarray, e: np.ndarray, zt: np.ndarray,
                 p = s * r
                 d[i + 1] = g + p
                 g = c * r - b
-                zt[i:i + 2] = np.array([[c, -s], [s, c]]) @ zt[i:i + 2]
+                rotations.append((i, c, s))
             if not restart:
                 d[l] -= p
                 e[l] = g
                 e[m] = 0.0
-    return np.array(d)
+    depth = [0] * n
+    layers: list[list[tuple[int, float, float]]] = []
+    for rotation in rotations:
+        i = rotation[0]
+        k, k1 = depth[i], depth[i + 1]
+        if k1 > k:
+            k = k1
+        depth[i] = depth[i + 1] = k + 1
+        if k < len(layers):
+            layers[k].append(rotation)
+        else:
+            layers.append([rotation])
+    for layer in layers:
+        i, c, s = (np.array(column) for column in zip(*layer))
+        pq = np.column_stack((i, i + 1)).ravel()
+        _rotate_pairs(zt, pq, zt[pq].reshape(i.size, 2, -1), c, s)
+    return np.array(d), total
 
 
 def schur_decompose(a) -> SimilarityFactors:
@@ -455,10 +513,11 @@ def schur_decompose(a) -> SimilarityFactors:
     n = a.shape[0]
     base = hessenberg_reduce(a)
     zt = np.ascontiguousarray(base.q.T)
-    d = _tridiag_eigen(np.diag(base.t), np.diag(base.t, -1), zt, EIGEN_ITER_FACTOR * n)
+    d, iterations = _tridiag_eigen(np.diag(base.t), np.diag(base.t, -1), zt,
+                                   EIGEN_ITER_FACTOR * n)
     order = np.argsort(d)[::-1]
     return SimilarityFactors(q=np.ascontiguousarray(zt[order].T),
-                             t=np.diag(d[order]))
+                             t=np.diag(d[order]), iterations=iterations)
 
 
 def tridiagonal_solve(t, b) -> np.ndarray:
@@ -541,13 +600,15 @@ def svd(a) -> SvdFactors:
     reflectors = _householder_reduce(a)
     # Row i holds column i of r followed by column i of v, so one gather
     # fetches everything a round rotates. Each round's pairs are interleaved
-    # (p0, q0, p1, q1, ...) so a pair is one 2 x 2m slab of the gather.
+    # (p0, q0, p1, q1, ...) so a pair is one 2 x 2m slab of the gather; the
+    # round reads the slabs for its cosine test, then hands the same gather
+    # to _rotate_pairs.
     rows = np.zeros((m, 2 * m))
     rows[:, :m] = np.triu(a[:m]).T
     rows[:, m:] = np.eye(m)
     rounds = [np.column_stack((p, q)).ravel() for p, q in _round_robin(m)]
     tol = DEFLATE_RTOL
-    for _ in range(SVD_MAX_SWEEPS):
+    for sweep in range(SVD_MAX_SWEEPS):
         # Squared column norms are refreshed once per sweep and then tracked
         # through the exact rotation update.
         norms2 = np.einsum("ij,ij->i", rows[:, :m], rows[:, :m])
@@ -570,13 +631,7 @@ def svd(a) -> SvdFactors:
             t = 1.0 / (at + np.hypot(1.0, at))
             t = np.copysign(t * live, tau)  # identity rotation below threshold
             c = 1.0 / np.hypot(1.0, t)
-            s = c * t
-            rot = np.empty((half, 2, 2))
-            rot[:, 0, 0] = c
-            rot[:, 0, 1] = -s
-            rot[:, 1, 0] = s
-            rot[:, 1, 1] = c
-            rows[pq] = (rot @ pair).reshape(2 * half, 2 * m)
+            _rotate_pairs(rows, pq, pair, c, c * t)
             n2 += (t * g)[:, None] * [-1.0, 1.0]
             norms2[pq] = np.maximum(n2, 0.0).ravel()
         if not rotated:
@@ -598,8 +653,8 @@ def svd(a) -> SvdFactors:
         u_r[:, live:] = _apply_reflectors(fill, m, np.eye(m))[:, live:]
     u = _apply_reflectors(reflectors, n, u_r)
     if wide:
-        return SvdFactors(u=v, sigma=sigma, v=u)
-    return SvdFactors(u=u, sigma=sigma, v=v)
+        u, v = v, u
+    return SvdFactors(u=u, sigma=sigma, v=v, sweeps=sweep + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,14 @@ def test_generate_rejects_zero_snr(tmp_path, capsys):
     assert "snr must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("snr", ["nan", "inf"])
+def test_generate_rejects_nonfinite_snr(tmp_path, capsys, snr):
+    out = tmp_path / "x.csv"
+    assert main(["generate", "--seed", "1", "--snr", snr, "--out", str(out)]) == 1
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # flops
 # ---------------------------------------------------------------------------

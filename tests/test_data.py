@@ -67,6 +67,12 @@ def test_synth_rejects_nonpositive_snr():
         synth_epochs(seed=1, snr=0.0)
 
 
+@pytest.mark.parametrize("snr", [float("nan"), float("inf")])
+def test_synth_rejects_nonfinite_snr(snr):
+    with pytest.raises(ValueError, match="finite"):
+        synth_epochs(seed=1, snr=snr)
+
+
 def test_pipeline_shape():
     feats = grand_average(synth_epochs(seed=23))
     assert feats.shape == (864, 64)
@@ -173,6 +179,22 @@ def test_write_rejects_empty_features(tmp_path):
                  layout=np.array([[0, 0, 0], [0, 0, 1]]))
     with pytest.raises(SchemaError):
         write_csv(ds, tmp_path / "bad.csv")
+
+
+def test_write_rejects_what_load_refuses(tmp_path):
+    layout = np.array([[0, 0, 0], [0, 0, 1]])
+    feats = np.array([[1.0], [np.nan]])
+    with pytest.raises(SchemaError, match="row 2"):
+        write_csv(Dataset(features=feats, labels=np.zeros(2, dtype=int),
+                          layout=layout), tmp_path / "nan.csv")
+    with pytest.raises(InvalidLabel, match="got 2"):
+        write_csv(Dataset(features=np.ones((2, 1)), labels=np.array([0, 2]),
+                          layout=layout), tmp_path / "label.csv")
+    assert not list(tmp_path.iterdir())
+    floats = tmp_path / "floats.csv"
+    write_csv(Dataset(features=np.ones((2, 1)), labels=np.array([0.0, 1.0]),
+                      layout=layout), floats)
+    assert load_csv(floats).labels.tolist() == [0, 1]
 
 
 def test_write_rejects_misordered_rows(tmp_path):

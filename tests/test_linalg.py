@@ -388,6 +388,90 @@ def test_schur_psd_matches_singular_values():
     assert np.abs(f.t - np.diag(np.diag(f.t))).max() == 0.0
 
 
+def _rotation_loop_eigen(d, e, zt):
+    """Reference: the QL loop applying each rotation to zt as it is made."""
+    n = d.size
+    eps = np.finfo(float).eps
+    d, e = d.tolist(), e.tolist() + [0.0]
+    total = 0
+    for l in range(n):
+        while True:
+            m = l
+            while m < n - 1 and abs(e[m]) > eps * (abs(d[m]) + abs(d[m + 1])):
+                m += 1
+            if m == l:
+                break
+            total += 1
+            g = (d[l + 1] - d[l]) / (2.0 * e[l])
+            r = math.hypot(g, 1.0)
+            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
+            s = c = 1.0
+            p = 0.0
+            restart = False
+            for i in range(m - 1, l - 1, -1):
+                f = s * e[i]
+                b = c * e[i]
+                r = math.hypot(f, g)
+                e[i + 1] = r
+                if r == 0.0:
+                    d[i + 1] -= p
+                    e[m] = 0.0
+                    restart = True
+                    break
+                s = f / r
+                c = g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+                zt[i:i + 2] = np.array([[c, -s], [s, c]]) @ zt[i:i + 2]
+            if not restart:
+                d[l] -= p
+                e[l] = g
+                e[m] = 0.0
+    return np.array(d), total
+
+
+def _wavefront_cases():
+    rng = np.random.default_rng(47)
+    x = rng.standard_normal((60, 40))
+    u = rng.standard_normal(30)
+    g = np.logspace(0, -5, 25)  # cond(a) about 1e10
+    b = rng.standard_normal((25, 25))
+    return {
+        "psd-40": x.T @ x,
+        "identity-plus-rank-one": np.eye(30) + np.outer(u, u),
+        "diagonal": np.diag([3.0, 1.0, 4.0, 1.5, 9.0]),
+        "2x2": np.array([[2.0, 1.0], [1.0, 3.0]]),
+        "graded": g[:, None] * (b @ b.T + 25.0 * np.eye(25)) * g[None, :],
+    }
+
+
+@pytest.mark.parametrize("name", list(_wavefront_cases()))
+def test_schur_wavefront_matches_rotation_loop(name):
+    a = _wavefront_cases()[name]
+    n = a.shape[0]
+    f = schur_decompose(a)
+    base = hessenberg_reduce(a)
+    zt = np.ascontiguousarray(base.q.T)
+    d, total = _rotation_loop_eigen(np.diag(base.t), np.diag(base.t, -1), zt)
+    order = np.argsort(d)[::-1]
+    # The same rotations reach each row in the same order, so nothing but
+    # the batching of the products can differ.
+    assert np.array_equal(np.diag(f.t), d[order])
+    assert np.abs(f.q - zt[order].T).max() <= 8 * n * np.finfo(float).eps
+    assert f.iterations == total
+
+
+def test_solver_work_counts():
+    a = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]])
+    assert 0 < schur_decompose(a).iterations <= linalg.EIGEN_ITER_FACTOR * 3
+    assert hessenberg_reduce(a).iterations == 0
+    # A diagonal matrix has orthogonal columns: one sweep finds that.
+    assert svd(np.diag([3.0, 2.0, 1.0])).sweeps == 1
+
+
 def test_schur_rejects_asymmetric():
     with pytest.raises(NotSymmetric):
         schur_decompose(np.array([[1.0, 2.0], [0.0, 1.0]]))
@@ -565,7 +649,8 @@ def test_factorization_ignores_memory_order(factorize):
         a = a.T @ a + np.eye(5)
     c_fac, f_fac = factorize(a), factorize(np.asfortranarray(a))
     for field in vars(c_fac):
-        assert getattr(c_fac, field).tobytes() == getattr(f_fac, field).tobytes()
+        c_val, f_val = (np.asarray(getattr(fac, field)) for fac in (c_fac, f_fac))
+        assert c_val.tobytes() == f_val.tobytes()
 
 
 def test_package_makes_no_numpy_linalg_call():
