@@ -7,7 +7,6 @@ Exit codes: 0 on success, 1 on a flag or input file that breaks the contract
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import statistics
 import sys
@@ -47,45 +46,44 @@ def parse_solvers(spec: str) -> list[SolverKind]:
 
 def evaluate_dataset(dataset: data_io.Dataset, solvers: list[SolverKind],
                      hidden: int, ridge_lambda: float, seed: int,
-                     repeats: int) -> tuple[dict, list[str]]:
+                     repeats: int) -> dict:
     """Run every solver through the session folds of a dataset.
 
-    Returns the report dict (JSON schema) and the per-fold hash of the hidden
-    output matrix, which is shared by all solvers within a fold. Per-solver
-    failures are captured in the report without aborting the others.
+    Returns the report dict (JSON schema). All solvers share one hidden
+    output matrix per fold. Per-solver failures are captured in the report
+    without aborting the others.
     """
-    n_sessions, runs, n_images = data_io.grid_shape(dataset.layout)
-    plan = metrics.session_kfold(n_sessions, runs, n_images,
-                                 n_samples=dataset.features.shape[0])
-    train_limit = min(train_idx.size for train_idx, _ in plan.folds)
-    if hidden > train_limit:
-        raise ValueError(
-            f"hidden must be <= {train_limit}, the number of training rows "
-            f"per fold, got {hidden}")
+    if repeats < 1:
+        raise ValueError("repeats must be >= 1")
     cfg = elm.ElmConfig(hidden_neurons=hidden, solver=SolverKind.SVD,
                         rng_seed=seed, ridge_lambda=ridge_lambda)
+    plan = metrics.session_kfold(*data_io.grid_shape(dataset.layout),
+                                 n_samples=dataset.features.shape[0])
+    train_rows = min(train_idx.size for train_idx, _ in plan.folds)
+    if hidden > train_rows:
+        raise ValueError(
+            f"hidden must be <= {train_rows}, the number of training rows "
+            f"per fold, got {hidden}")
     weights, biases = elm.init_random_layer(cfg, dataset.features.shape[1])
 
     fold_inputs = []
-    fold_hashes = []
     for train_idx, test_idx in plan.folds:
         nrm = elm.fit_normalizer(dataset.features[train_idx])
         x_train = elm.apply_normalizer(nrm, dataset.features[train_idx])
         x_test = elm.apply_normalizer(nrm, dataset.features[test_idx])
         h_train = elm.hidden_output(x_train, weights, biases, cfg.activation)
-        fold_hashes.append(hashlib.sha256(h_train.tobytes()).hexdigest())
         fold_inputs.append((x_train, x_test, h_train,
                             dataset.labels[train_idx].astype(float),
                             dataset.labels[test_idx]))
 
     rows = []
     for kind in solvers:
+        row = {"name": kind.value}
         fold_reports = []
         train_times: list[float] = []
         test_times: list[float] = []
-        error: str | None = None
-        for x_train, x_test, h_train, t_train, y_test in fold_inputs:
-            try:
+        try:
+            for x_train, x_test, h_train, t_train, y_test in fold_inputs:
                 # The first solve is the warmup and yields the weights used
                 # for prediction; the timed section covers hidden output plus
                 # the solve, matching the training-cost definition.
@@ -97,48 +95,35 @@ def evaluate_dataset(dataset: data_io.Dataset, solvers: list[SolverKind],
                                               cfg.activation)
                     elm.solve_output_weights(h_rep, t_train, kind, ridge_lambda)
                     train_times.append(time.perf_counter() - t0)
-                h_test = elm.hidden_output(x_test, weights, biases,
-                                           cfg.activation)
-                pred = (h_test @ w_out >= 0.5).astype(np.int64)
                 for _ in range(repeats):
                     t0 = time.perf_counter()
                     h_test = elm.hidden_output(x_test, weights, biases,
                                                cfg.activation)
                     pred = ((h_test @ w_out) >= 0.5).astype(np.int64)
                     test_times.append(time.perf_counter() - t0)
-                cm = metrics.confusion(pred, y_test)
-                fold_reports.append(metrics.metric_report(cm))
-            except LinAlgError as exc:
-                error = type(exc).__name__
-                break
-        row = {"name": kind.value}
-        if error is None:
+                fold_reports.append(
+                    metrics.metric_report(metrics.confusion(pred, y_test)))
+        except LinAlgError as exc:
+            row.update(dict.fromkeys(_METRIC_KEYS + ("train_s", "test_s")),
+                       error=type(exc).__name__)
+        else:
             for key in _METRIC_KEYS:
                 row[key] = float(np.mean([getattr(r, key) for r in fold_reports]))
             row["train_s"] = statistics.median(train_times)
             row["test_s"] = statistics.median(test_times)
-        else:
-            for key in _METRIC_KEYS:
-                row[key] = None
-            row["train_s"] = None
-            row["test_s"] = None
-            row["error"] = error
-        train_rows = dataset.features.shape[0] - runs * n_images
         row["flops"] = flop_estimate(kind, train_rows, hidden)
         rows.append(row)
 
-    report = {
+    return {
         "config": {
             "seed": seed,
             "hidden": hidden,
             "lambda": ridge_lambda,
-            "snr": None,
             "repeats": repeats,
             "solvers": [k.value for k in solvers],
         },
         "solvers": rows,
     }
-    return report, fold_hashes
 
 
 def _format_table(rows: list[dict]) -> str:
@@ -174,18 +159,10 @@ def cmd_generate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    if args.hidden < 1:
-        raise ValueError("hidden must be >= 1")
-    if args.ridge_lambda < 0.0:
-        raise ValueError("lambda must be >= 0")
-    if args.repeats < 1:
-        raise ValueError("repeats must be >= 1")
     solvers = parse_solvers(args.solvers)
     dataset = data_io.load_csv(args.dataset)
-    report, _ = evaluate_dataset(dataset, solvers, args.hidden,
-                                 args.ridge_lambda, args.seed, args.repeats)
-    if args.snr is not None:
-        report["config"]["snr"] = args.snr
+    report = evaluate_dataset(dataset, solvers, args.hidden,
+                              args.ridge_lambda, args.seed, args.repeats)
     print(_format_table(report["solvers"]))
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
@@ -198,8 +175,6 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_flops(args) -> int:
-    if args.m < 1 or args.n < 1:
-        raise ValueError("m and n must be positive")
     counts = {kind: flop_estimate(kind, args.m, args.n) for kind in SOLVER_ORDER}
     width = max(len(k.value) for k in SOLVER_ORDER)
     for kind in SOLVER_ORDER:
@@ -229,8 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--lambda", dest="ridge_lambda", type=float, default=0.0)
     ev.add_argument("--seed", type=int, default=7)
     ev.add_argument("--repeats", type=int, default=5)
-    ev.add_argument("--snr", type=float, default=None,
-                    help="echoed into the report config, not used")
     ev.add_argument("--json", default=None)
     ev.set_defaults(func=cmd_evaluate)
 

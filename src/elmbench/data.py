@@ -75,18 +75,17 @@ def synth_epochs(seed: int, n_sessions: int = 12, runs_per_session: int = 6,
     data = rng.standard_normal((trials, channels, samples))
     t_ms = np.arange(samples) * (1000.0 / SAMPLE_RATE_HZ)
     bump = snr * np.exp(-0.5 * ((t_ms - BUMP_CENTER_MS) / BUMP_WIDTH_MS) ** 2)
-    layout = np.zeros((trials, 3), dtype=np.int64)
-    labels = np.zeros(trials, dtype=np.int64)
-    idx = 0
-    for session in range(n_sessions):
-        for run in range(runs_per_session):
-            for image in range(n_images):
-                layout[idx] = (session, run, image)
-                if image == target_image[session]:
-                    labels[idx] = 1
-                    data[idx] += bump
-                idx += 1
-    return EpochSet(data=data, labels=labels, layout=layout)
+    layout = _grid(np.arange(n_sessions), np.arange(runs_per_session),
+                   np.arange(n_images))
+    target = layout[:, 2] == target_image[layout[:, 0]]
+    data[target] += bump
+    return EpochSet(data=data, labels=target.astype(np.int64), layout=layout)
+
+
+def _grid(sessions: np.ndarray, runs: np.ndarray, images: np.ndarray) -> np.ndarray:
+    """(session, run, image) rows of the Cartesian product, in ascending order."""
+    return np.stack(np.meshgrid(sessions, runs, images, indexing="ij"),
+                    axis=-1).reshape(-1, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -102,8 +101,9 @@ def write_csv(dataset: Dataset, path) -> None:
     Feature values are written with 17 significant digits so a round trip
     reproduces them bit for bit. Rows must already be in ascending
     (session, run, image) order. What load_csv would refuse is refused here
-    too: a non-finite feature raises SchemaError and a label outside
-    {0, 1} raises InvalidLabel.
+    too, before any file is written: a non-finite feature or a layout value
+    that is not a whole number raises SchemaError, and a label outside
+    {0, 1} raises InvalidLabel. Labels and layout are written as integers.
     """
     feats = np.asarray(dataset.features, dtype=float)
     if feats.ndim != 2 or feats.shape[1] < 1:
@@ -115,13 +115,19 @@ def write_csv(dataset: Dataset, path) -> None:
         raise SchemaError(f"row {bad[0] + 1}: non-finite feature value")
     labels = np.asarray(dataset.labels)
     layout = np.asarray(dataset.layout)
-    if labels.shape[0] != feats.shape[0] or layout.shape[0] != feats.shape[0]:
+    if labels.shape[0] != feats.shape[0] or layout.shape != (feats.shape[0], 3):
         raise SchemaError("labels/layout row count does not match features")
     bad = np.flatnonzero(~np.isin(labels, (0, 1)))
     if bad.size:
         raise InvalidLabel(
             f"row {bad[0] + 1}: label must be 0 or 1, got {labels[bad[0]]}")
-    labels = labels.astype(np.int64)  # 1.0 would be written as "1.0"
+    whole = np.isfinite(layout) & (layout == np.round(layout))
+    bad = np.flatnonzero(~whole.all(axis=1))
+    if bad.size:
+        raise SchemaError(f"row {bad[0] + 1}: layout value is not a whole number")
+    # 1.0 would be written as "1.0"
+    labels = labels.astype(np.int64)
+    layout = layout.astype(np.int64)
     keys = [tuple(row) for row in layout]
     if keys != sorted(keys):
         raise SchemaError("rows must be ordered by (session, run, image)")
@@ -194,7 +200,7 @@ def grid_shape(layout: np.ndarray) -> tuple[int, int, int]:
     """
     layout = np.asarray(layout)
     axes = [np.unique(layout[:, c]) for c in range(3)]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    grid = _grid(*axes)
     if layout.shape != grid.shape or not np.array_equal(layout, grid):
         raise LayoutMismatch(
             f"{layout.shape[0]} trials do not fill a "

@@ -53,8 +53,6 @@ class ElmConfig:
         if self.hidden_neurons < 1:
             raise ValueError("hidden_neurons must be >= 1")
         _check_solve_args(self.solver, self.ridge_lambda)
-        if self.ridge_lambda < 0.0:
-            raise ValueError("ridge_lambda must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -140,8 +138,6 @@ def solve_output_weights(h, targets, solver: SolverKind,
     ridge_lambda = 0 the QR and SVD routes factor h directly.
     """
     _check_solve_args(solver, ridge_lambda)
-    if ridge_lambda < 0.0:
-        raise ValueError("ridge_lambda must be >= 0")
     h = as_matrix(h, "h")
     t = as_vector(targets, "targets")
     if h.shape[0] != t.size:
@@ -156,11 +152,13 @@ def solve_output_weights(h, targets, solver: SolverKind,
 
 
 def _check_solve_args(solver, ridge_lambda) -> None:
-    """Raise ValueError unless ridge_lambda is finite real and solver a SolverKind."""
+    """Raise ValueError unless ridge_lambda is a finite real >= 0 and solver a SolverKind."""
     if not isinstance(ridge_lambda, numbers.Real) or not math.isfinite(ridge_lambda):
         raise ValueError(f"ridge_lambda must be a finite real number, got {ridge_lambda!r}")
     if not isinstance(solver, SolverKind):
         raise ValueError(f"solver must be a SolverKind, got {solver!r}")
+    if ridge_lambda < 0.0:
+        raise ValueError("ridge_lambda must be >= 0")
 
 
 def _normal_matrix(h: np.ndarray, lam: float) -> np.ndarray:

@@ -91,13 +91,12 @@ class SvdFactors:
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Validate and copy input into a 2-D float64 array with finite entries.
+    """Validate and copy input into a C-ordered 2-D float64 array with finite entries.
 
-    The copy keeps the input's memory order. LU, both QRs and the Hessenberg
-    reduction work on np.ascontiguousarray of it, which copies again only
-    Fortran-ordered input, so their results do not depend on that order.
+    The factorizations work in place on this copy, so their results do not
+    depend on the input's memory order.
     """
-    m = np.array(a, dtype=float)
+    m = np.array(a, dtype=float, order="C")
     if m.ndim != 2:
         raise DimensionMismatch(f"{name} must be 2-D, got {m.ndim}-D")
     if m.shape[0] < 1 or m.shape[1] < 1:
@@ -142,11 +141,10 @@ def lu_decompose(a) -> LuFactors:
     that a[perm] == l @ u. Raises SingularMatrix when a pivot falls below
     PIVOT_RTOL relative to the largest entry of a.
     """
-    a = as_matrix(a, "a")
-    _require_square(a, "a")
-    n = a.shape[0]
-    scale = np.abs(a).max()
-    lu = np.ascontiguousarray(a)
+    lu = as_matrix(a, "a")
+    _require_square(lu, "a")
+    n = lu.shape[0]
+    scale = np.abs(lu).max()
     perm = np.arange(n)
     for k in range(n):
         piv = k + int(np.argmax(np.abs(lu[k:, k])))
@@ -334,9 +332,8 @@ def householder_qr(a) -> QrFactors:
     if n < m:
         raise DimensionMismatch(f"need rows >= cols, got {a.shape}")
     col_scale = np.sqrt(np.sum(a * a, axis=0))
-    r_work = np.ascontiguousarray(a)
-    reflectors = _householder_reduce(r_work)
-    r = np.triu(r_work[:m, :m])
+    reflectors = _householder_reduce(a)
+    r = np.triu(a[:m, :m])
     # |r[j, j]| is the norm column j had on and below the diagonal when it
     # was reflected.
     pivots = np.abs(np.diag(r))
@@ -375,10 +372,9 @@ def hessenberg_reduce(a) -> SimilarityFactors:
     within round-off. Matrices of size <= 2 are already tridiagonal and are
     returned with q = identity.
     """
-    a = as_matrix(a, "a")
-    _require_symmetric(a, "a")
-    n = a.shape[0]
-    work = np.ascontiguousarray(a)
+    work = as_matrix(a, "a")
+    _require_symmetric(work, "a")
+    n = work.shape[0]
     # Reflector k acts on rows k + 1:, so it is stored at index k + 1.
     reflectors: list[np.ndarray | None] = [None]
     for k in range(n - 2):
@@ -508,10 +504,8 @@ def schur_decompose(a) -> SimilarityFactors:
     eps times the sum of its two diagonal neighbours. t is diagonal with
     eigenvalues in descending order; q columns are permuted to match.
     """
-    a = as_matrix(a, "a")
-    _require_symmetric(a, "a")
-    n = a.shape[0]
     base = hessenberg_reduce(a)
+    n = base.t.shape[0]
     zt = np.ascontiguousarray(base.q.T)
     d, iterations = _tridiag_eigen(np.diag(base.t), np.diag(base.t, -1), zt,
                                    EIGEN_ITER_FACTOR * n)
@@ -538,7 +532,8 @@ def tridiagonal_solve(t, b) -> np.ndarray:
     diag = np.diag(t).copy()
     lower = np.diag(t, -1)
     upper = np.diag(t, 1)
-    rhs = np.ascontiguousarray(b.reshape(n, -1))
+    # A view of b, which _as_rhs copied: the elimination may work in place.
+    rhs = b.reshape(n, -1)
     # Thomas elimination: sweep down, then back-substitute.
     for i in range(1, n):
         piv = diag[i - 1]

@@ -13,6 +13,10 @@ ROW_KEYS = {"name", "sensitivity", "precision", "f_measure", "specificity",
             "mcc", "accuracy", "train_s", "test_s", "flops"}
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
 def _tiny_dataset(tmp_path, seed=0, sessions=4, runs=2, images=3, width=4,
                   separable=True):
     """Small session-grid dataset with a feature that encodes the label."""
@@ -102,6 +106,7 @@ def test_flops_svd_strict_maximum_on_grid():
 
 def test_flops_validation(capsys):
     assert main(["flops", "--m", "0", "--n", "5"]) == 1
+    assert "m and n must be positive" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -114,8 +119,11 @@ def test_evaluate_json_schema_and_metrics(tmp_path):
     code = main(["evaluate", str(path), "--solvers", "all", "--hidden", "8",
                  "--seed", "3", "--repeats", "1", "--json", str(out)])
     assert code == 0
-    report = json.loads(out.read_text())
+    report = json.loads(out.read_text(), parse_constant=_refuse_constant)
     assert set(report) == {"config", "solvers"}
+    assert report["config"] == {"seed": 3, "hidden": 8, "lambda": 0.0,
+                                "repeats": 1,
+                                "solvers": [k.value for k in SolverKind]}
     assert len(report["solvers"]) == 6
     for row in report["solvers"]:
         assert ROW_KEYS <= set(row)
@@ -151,15 +159,61 @@ def test_evaluate_metrics_reproducible(tmp_path):
             assert r1[key] == r2[key]
 
 
-def test_evaluate_shares_hidden_matrix_across_solvers(tmp_path):
+def test_evaluate_shares_hidden_matrix_across_solvers(tmp_path, monkeypatch):
+    from elmbench import elm
+
+    ds = load_csv(_tiny_dataset(tmp_path))
+    real = elm.solve_output_weights
+    seen = {}
+
+    def recording(h, targets, solver, ridge_lambda=0.0):
+        seen.setdefault(solver, []).append(h.tobytes())
+        return real(h, targets, solver, ridge_lambda)
+
+    monkeypatch.setattr("elmbench.cli.elm.solve_output_weights", recording)
+    solvers = [SolverKind.SVD, SolverKind.LU, SolverKind.SCHUR]
+    report = evaluate_dataset(ds, solvers, hidden=6, ridge_lambda=0.0,
+                              seed=11, repeats=2)
+    assert not any(row.get("error") for row in report["solvers"])
+    assert list(seen) == solvers
+    # 4 session folds, each one warmup solve and 2 timed repeats
+    assert len(seen[SolverKind.SVD]) == 4 * 3
+    assert len(set(seen[SolverKind.SVD])) == 4
+    assert seen[SolverKind.LU] == seen[SolverKind.SVD]
+    assert seen[SolverKind.SCHUR] == seen[SolverKind.SVD]
+
+
+def test_evaluate_dataset_rejects_zero_repeats_before_solving(tmp_path,
+                                                             monkeypatch):
+    ds = load_csv(_tiny_dataset(tmp_path))
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the repeats check")
+
+    monkeypatch.setattr("elmbench.cli.elm.solve_output_weights", no_solve)
+    with pytest.raises(ValueError, match="repeats"):
+        evaluate_dataset(ds, [SolverKind.LU], hidden=6, ridge_lambda=0.0,
+                         seed=11, repeats=0)
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--hidden", "0", "hidden_neurons must be >= 1"),
+    ("--lambda", "-1", "ridge_lambda must be >= 0"),
+    ("--repeats", "0", "repeats must be >= 1"),
+])
+def test_evaluate_rejects_bad_flag_values(tmp_path, capsys, flag, value,
+                                          message):
     path = _tiny_dataset(tmp_path)
-    ds = load_csv(path)
-    _, hashes_a = evaluate_dataset(ds, [SolverKind.SVD], hidden=6,
-                                   ridge_lambda=0.0, seed=11, repeats=1)
-    _, hashes_b = evaluate_dataset(ds, [SolverKind.LU, SolverKind.SCHUR],
-                                   hidden=6, ridge_lambda=0.0, seed=11,
-                                   repeats=1)
-    assert hashes_a == hashes_b
+    assert main(["evaluate", str(path), "--solvers", "lu", "--hidden", "6",
+                 "--repeats", "1", flag, value]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_evaluate_has_no_snr_flag(tmp_path, capsys):
+    path = _tiny_dataset(tmp_path)
+    assert main(["evaluate", str(path), "--solvers", "lu", "--hidden", "6",
+                 "--repeats", "1", "--snr", "3"]) == 1
+    assert "unrecognized arguments: --snr" in capsys.readouterr().err
 
 
 def test_evaluate_isolates_failing_solvers(tmp_path):
@@ -179,7 +233,8 @@ def test_evaluate_isolates_failing_solvers(tmp_path):
     assert len(report["solvers"]) == 6
     for row in report["solvers"]:
         assert row["error"] in {"RankDeficient", "SingularMatrix", "NoConvergence"}
-        assert row["accuracy"] is None
+        assert ROW_KEYS <= set(row)
+        assert all(row[key] is None for key in ROW_KEYS - {"name", "flops"})
 
 
 def test_evaluate_partial_failure_keeps_other_rows(tmp_path, monkeypatch):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from elmbench import Dataset, grand_average, load_csv, synth_epochs, write_csv
-from elmbench.data import BUMP_CENTER_MS, SAMPLE_RATE_HZ, grid_shape
+from elmbench.data import (BUMP_CENTER_MS, BUMP_WIDTH_MS, DEFAULT_CHANNELS,
+                           DEFAULT_SAMPLES, SAMPLE_RATE_HZ, grid_shape)
 from elmbench.errors import InvalidLabel, LayoutMismatch, ParseError, SchemaError
 
 
@@ -60,6 +61,38 @@ def test_synth_strong_signal_peak_separation():
     peak = int(round(BUMP_CENTER_MS / 1000.0 * SAMPLE_RATE_HZ))
     diff = feats[eps.labels == 1, peak].mean() - feats[eps.labels == 0, peak].mean()
     assert diff >= 4.0
+
+
+def _loop_epochs(seed, n_sessions, runs_per_session, n_images, snr=3.0):
+    """Reference generator: the per-trial loop synth_epochs replaced."""
+    rng = np.random.default_rng(seed)
+    target_image = rng.integers(0, n_images, size=n_sessions)
+    trials = n_sessions * runs_per_session * n_images
+    data = rng.standard_normal((trials, DEFAULT_CHANNELS, DEFAULT_SAMPLES))
+    t_ms = np.arange(DEFAULT_SAMPLES) * (1000.0 / SAMPLE_RATE_HZ)
+    bump = snr * np.exp(-0.5 * ((t_ms - BUMP_CENTER_MS) / BUMP_WIDTH_MS) ** 2)
+    layout = np.zeros((trials, 3), dtype=np.int64)
+    labels = np.zeros(trials, dtype=np.int64)
+    idx = 0
+    for session in range(n_sessions):
+        for run in range(runs_per_session):
+            for image in range(n_images):
+                layout[idx] = (session, run, image)
+                if image == target_image[session]:
+                    labels[idx] = 1
+                    data[idx] += bump
+                idx += 1
+    return data, labels, layout
+
+
+@pytest.mark.parametrize("seed", [0, 7, 11])
+@pytest.mark.parametrize("grid", [(12, 6, 12), (4, 3, 5)])
+def test_synth_matches_reference_loop(seed, grid):
+    eps = synth_epochs(seed, *grid)
+    for got, want in zip((eps.data, eps.labels, eps.layout),
+                         _loop_epochs(seed, *grid)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_synth_rejects_nonpositive_snr():
@@ -195,6 +228,23 @@ def test_write_rejects_what_load_refuses(tmp_path):
     write_csv(Dataset(features=np.ones((2, 1)), labels=np.array([0.0, 1.0]),
                       layout=layout), floats)
     assert load_csv(floats).labels.tolist() == [0, 1]
+
+
+def test_write_accepts_whole_float_layout(tmp_path):
+    layout = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+    path = tmp_path / "floats.csv"
+    write_csv(Dataset(features=np.ones((3, 1)), labels=np.array([1, 0, 0]),
+                      layout=layout), path)
+    back = load_csv(path)
+    assert back.layout.tolist() == [[0, 0, 0], [0, 0, 1], [1, 0, 0]]
+
+
+def test_write_rejects_fractional_layout(tmp_path):
+    layout = np.array([[0, 0, 0], [0, 0, 0.5], [0, 0, 1]])
+    with pytest.raises(SchemaError, match="row 2"):
+        write_csv(Dataset(features=np.ones((3, 1)), labels=np.array([1, 0, 0]),
+                          layout=layout), tmp_path / "half.csv")
+    assert not list(tmp_path.iterdir())
 
 
 def test_write_rejects_misordered_rows(tmp_path):
