@@ -36,6 +36,8 @@ def parse_solvers(spec: str) -> list[SolverKind]:
             raise ValueError(
                 f"unknown solver '{token}' (choose from "
                 f"{', '.join(sorted(by_value))}, or 'all')")
+        if by_value[token] in kinds:
+            raise ValueError(f"solver '{token}' is listed twice")
         kinds.append(by_value[token])
     return kinds
 

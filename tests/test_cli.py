@@ -288,6 +288,13 @@ def test_evaluate_contract_violation_exit_code(tmp_path, capsys):
     assert "row 1" in capsys.readouterr().err
 
 
+def test_evaluate_repeated_solver(tmp_path, capsys):
+    path = _tiny_dataset(tmp_path)
+    assert main(["evaluate", str(path), "--solvers", "svd,lu,svd",
+                 "--repeats", "1"]) == 1
+    assert "solver 'svd' is listed twice" in capsys.readouterr().err
+
+
 def test_evaluate_missing_file():
     assert main(["evaluate", "/nonexistent/x.csv"]) == 2
 
@@ -296,6 +303,11 @@ def test_parse_solvers_all():
     assert len(parse_solvers("all")) == 6
     assert parse_solvers("svd,hessenberg") == [SolverKind.SVD,
                                                SolverKind.HESSENBERG]
+
+
+def test_parse_solvers_rejects_repeats():
+    with pytest.raises(ValueError, match="'hh-qr' is listed twice"):
+        parse_solvers("hh-qr, LU,HH-QR")
 
 
 def test_cli_usage_error_exit_code():

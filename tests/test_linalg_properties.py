@@ -113,11 +113,19 @@ def _zero_column_second_block(rng):
     return a
 
 
+def _duplicate_columns(rng):
+    # Rank 6 in 8 columns: two singular values are zero up to round-off.
+    b = rng.standard_normal((30, 6))
+    return np.hstack((b, b[:, :2]))
+
+
 SVD_SHAPED_INPUTS = {
     "zero-middle-column": lambda rng: rng.standard_normal((12, 5)) * [1, 1, 0, 1, 1],
     "rank-4": lambda rng: rng.standard_normal((50, 4)) @ rng.standard_normal((4, 10)),
     "wide-5x9": lambda rng: rng.standard_normal((5, 9)),
     "zero-column-second-block": _zero_column_second_block,
+    "graded-columns": lambda rng: rng.standard_normal((40, 12)) * np.logspace(0, -8, 12),
+    "duplicate-columns": _duplicate_columns,
 }
 
 
