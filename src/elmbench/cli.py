@@ -7,6 +7,7 @@ Exit codes: 0 on success, 1 on a flag or input file that breaks the contract
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import statistics
 import sys
@@ -21,8 +22,7 @@ from .linalg import SolverKind, flop_estimate
 
 SOLVER_ORDER = tuple(SolverKind)
 
-_METRIC_KEYS = ("sensitivity", "precision", "f_measure", "specificity",
-                "mcc", "accuracy")
+_METRIC_KEYS = tuple(f.name for f in dataclasses.fields(metrics.MetricReport))
 
 
 def parse_solvers(spec: str) -> list[SolverKind]:

@@ -158,6 +158,8 @@ def load_csv(path) -> Dataset:
         raise SchemaError(f"{path}: feature columns must be f0..f{len(feat_names) - 1}")
     n_cols = len(header)
     rows = len(lines) - 1
+    if rows == 0:
+        raise SchemaError(f"{path}: no data rows")
     features = np.zeros((rows, len(feat_names)))
     labels = np.zeros(rows, dtype=np.int64)
     layout = np.zeros((rows, 3), dtype=np.int64)

@@ -165,23 +165,35 @@ def _as_rhs(b, name: str) -> np.ndarray:
     return as_matrix(b, name) if np.ndim(b) == 2 else as_vector(b, name)
 
 
+def _square_system(a, b, a_name: str, b_name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a square matrix a and a right-hand side b with as many rows."""
+    a = as_matrix(a, a_name)
+    b = _as_rhs(b, b_name)
+    _require_square(a, a_name)
+    n = a.shape[0]
+    if b.shape[0] != n:
+        raise DimensionMismatch(f"{b_name} has {b.shape[0]} rows, expected {n}")
+    return a, b
+
+
+def _substitute(tri: np.ndarray, rhs: np.ndarray, lower: bool) -> np.ndarray:
+    """Solve tri @ x = rhs reading only the lower or the upper triangle of tri."""
+    n = tri.shape[0]
+    x = np.zeros_like(rhs)
+    for i in range(n) if lower else range(n - 1, -1, -1):
+        if tri[i, i] == 0.0:
+            raise SingularMatrix(f"zero diagonal at row {i}")
+        done = slice(0, i) if lower else slice(i + 1, n)
+        x[i] = (rhs[i] - tri[i, done] @ x[done]) / tri[i, i]
+    return x
+
+
 def forward_substitute(l, t) -> np.ndarray:
     """Solve l @ y = t reading only the lower triangle of l.
 
     t may be a vector or a matrix of right-hand-side columns.
     """
-    l = as_matrix(l, "l")
-    t = _as_rhs(t, "t")
-    _require_square(l, "l")
-    n = l.shape[0]
-    if t.shape[0] != n:
-        raise DimensionMismatch(f"t has {t.shape[0]} rows, expected {n}")
-    y = np.zeros_like(t)
-    for i in range(n):
-        if l[i, i] == 0.0:
-            raise SingularMatrix(f"zero diagonal at row {i}")
-        y[i] = (t[i] - l[i, :i] @ y[:i]) / l[i, i]
-    return y
+    return _substitute(*_square_system(l, t, "l", "t"), lower=True)
 
 
 def backward_substitute(u, y) -> np.ndarray:
@@ -189,18 +201,7 @@ def backward_substitute(u, y) -> np.ndarray:
 
     y may be a vector or a matrix of right-hand-side columns.
     """
-    u = as_matrix(u, "u")
-    y = _as_rhs(y, "y")
-    _require_square(u, "u")
-    n = u.shape[0]
-    if y.shape[0] != n:
-        raise DimensionMismatch(f"y has {y.shape[0]} rows, expected {n}")
-    w = np.zeros_like(y)
-    for i in range(n - 1, -1, -1):
-        if u[i, i] == 0.0:
-            raise SingularMatrix(f"zero diagonal at row {i}")
-        w[i] = (y[i] - u[i, i + 1:] @ w[i + 1:]) / u[i, i]
-    return w
+    return _substitute(*_square_system(u, y, "u", "y"), lower=False)
 
 
 # ---------------------------------------------------------------------------
@@ -234,14 +235,14 @@ def mgs_qr(a) -> QrFactors:
     return QrFactors(q=np.ascontiguousarray(qt.T), r=r)
 
 
-def _reflector(x: np.ndarray) -> np.ndarray | None:
-    """Unit v such that (I - 2 v v.T) @ x is a multiple of e_0, or None if x == 0.
+def _reflector(x: np.ndarray) -> np.ndarray:
+    """Unit v with (I - 2 v v.T) @ x a multiple of e_0; zero, the identity, if x == 0.
 
     The leading entry is shifted away from zero, so v @ v cannot cancel.
     """
     nrm = math.sqrt(x @ x)
     if nrm == 0.0:
-        return None
+        return np.zeros_like(x)
     v = x.copy()
     v[0] += math.copysign(nrm, x[0]) if x[0] != 0.0 else nrm
     v /= math.sqrt(v @ v)
@@ -254,13 +255,12 @@ def _compact_wy(block: list, rows: int) -> tuple[np.ndarray, np.ndarray]:
     Reflector i of the block acts on rows i: of the block's rows. Returns
     v (rows x k), whose column i is reflector i below i leading zeros, and
     the upper-triangular t such that H_0 H_1 ... H_k-1 == I - v @ t @ v.T.
-    A None reflector is a zero column of v; its row and column of t are then
+    A zero reflector is a zero column of v; its row and column of t are then
     zero off the diagonal, so its factor is the identity.
     """
     vt = np.zeros((len(block), rows))
     for i, u in enumerate(block):
-        if u is not None:
-            vt[i, i:] = u
+        vt[i, i:] = u
     g = vt @ vt.T
     t = 2.0 * np.eye(len(block))
     for i in range(1, len(block)):
@@ -271,25 +271,23 @@ def _compact_wy(block: list, rows: int) -> tuple[np.ndarray, np.ndarray]:
 def _householder_reduce(work: np.ndarray) -> list:
     """Reduce work (rows >= cols) in place to upper-triangular form.
 
-    Returns the unit reflector of each column, None for a column that is
-    already zero on and below the diagonal and so is left alone. Columns
-    are reduced in panels of _NB: inside a panel each reflector updates the
-    panel's remaining columns only; then the panel's compact-WY form
-    I - v t v.T updates every column right of it at once, as
-    c -= v (t.T (v.T c)); a None reflector is the identity in it (see
-    _compact_wy). A zero column stays exactly zero under that update,
-    since v.T c is zero for it.
+    Returns the reflector of each column: a unit vector, or zero (the
+    identity) for a column that is already zero on and below the diagonal.
+    Columns are reduced in panels of _NB: inside a panel each reflector
+    updates the panel's remaining columns only; then the panel's compact-WY
+    form I - v t v.T updates every column right of it at once, as
+    c -= v (t.T (v.T c)). A zero column stays exactly zero under that
+    update, since v.T c is zero for it.
     """
     m = work.shape[1]
-    reflectors: list[np.ndarray | None] = []
+    reflectors: list[np.ndarray] = []
     for j0 in range(0, m, _NB):
         j1 = min(j0 + _NB, m)
         # The panel is reduced transposed, so each column is a contiguous row.
         panel = np.ascontiguousarray(work[j0:, j0:j1].T)
         for i in range(j1 - j0):
             v = _reflector(panel[i, i:])
-            if v is not None:
-                panel[i:, i:] -= np.outer(2.0 * (panel[i:, i:] @ v), v)
+            panel[i:, i:] -= np.outer(2.0 * (panel[i:, i:] @ v), v)
             reflectors.append(v)
         work[j0:, j0:j1] = panel.T
         if j1 < m:
@@ -306,7 +304,7 @@ def _apply_reflectors(reflectors: list, n: int, top: np.ndarray) -> np.ndarray:
     the SVD's u from its rotated triangular factor. Reflector j acts on rows
     j:. The reflectors are taken in blocks of _NB, last block to first, and
     block j0 is applied in its compact-WY form (see _compact_wy) to rows
-    j0: as out -= v (t (v.T out)); a None reflector in it is the identity.
+    j0: as out -= v (t (v.T out)); a zero reflector in it is the identity.
     When top is upper triangular, as the identity is, columns < j0 are
     still zero in rows j0: when block j0 comes, so it cannot change them
     and is applied to columns j0: only.
@@ -358,7 +356,7 @@ def triangular_inverse(r) -> np.ndarray:
     scale = np.abs(r).max()
     if np.any(np.abs(np.diag(r)) < PIVOT_RTOL * scale) or np.any(np.diag(r) == 0.0):
         raise SingularMatrix("triangular matrix has a near-zero diagonal entry")
-    return backward_substitute(r, np.eye(r.shape[0]))
+    return _substitute(r, np.eye(r.shape[0]), lower=False)
 
 
 # ---------------------------------------------------------------------------
@@ -376,12 +374,10 @@ def hessenberg_reduce(a) -> SimilarityFactors:
     _require_symmetric(work, "a")
     n = work.shape[0]
     # Reflector k acts on rows k + 1:, so it is stored at index k + 1.
-    reflectors: list[np.ndarray | None] = [None]
+    reflectors = [np.zeros(n)]
     for k in range(n - 2):
         v = _reflector(work[k + 1:, k])
         reflectors.append(v)
-        if v is None:
-            continue
         # Two-sided application keeps the trailing block symmetric.
         work[k + 1:, k:] -= 2.0 * np.outer(v, v @ work[k + 1:, k:])
         work[:, k + 1:] -= 2.0 * np.outer(work[:, k + 1:] @ v, v)
@@ -416,14 +412,14 @@ def _tridiag_eigen(d: np.ndarray, e: np.ndarray, zt: np.ndarray,
     zt, updated in place, become the matching eigenvectors. e[m] deflates
     once |e[m]| <= eps * (|d[m]| + |d[m + 1]|), relative to its own
     neighbours, so small eigenvalues keep their relative accuracy. It works
-    in three steps:
+    in two steps:
 
-    - record: the scalar QL loop runs on Python floats, which are faster
-      here than numpy's, and records each rotation (i, c, s) of rows i and
-      i + 1 instead of applying it;
-    - layer: each rotation goes one layer past the last layer that touched
-      row i or row i + 1, so the rotations of a layer act on disjoint row
-      pairs and every row meets its rotations in recorded order;
+    - record and layer: the scalar QL loop runs on Python floats, which are
+      faster here than numpy's, and records each rotation (i, c, s) of rows
+      i and i + 1 instead of applying it. The rotation goes one layer past
+      the last layer that touched row i or row i + 1, so the rotations of a
+      layer act on disjoint row pairs and every row meets its rotations in
+      recorded order;
     - apply: each layer rotates its row pairs of zt at once (_rotate_pairs).
 
     Rotations of one layer commute, so zt ends as the recorded order leaves
@@ -434,7 +430,8 @@ def _tridiag_eigen(d: np.ndarray, e: np.ndarray, zt: np.ndarray,
     n = d.size
     eps = float(np.finfo(float).eps)
     d, e = d.tolist(), e.tolist() + [0.0]
-    rotations: list[tuple[int, float, float]] = []
+    depth = [0] * n
+    layers: list[list[tuple[int, float, float]]] = []
     total = 0
     for l in range(n):
         while True:
@@ -472,23 +469,18 @@ def _tridiag_eigen(d: np.ndarray, e: np.ndarray, zt: np.ndarray,
                 p = s * r
                 d[i + 1] = g + p
                 g = c * r - b
-                rotations.append((i, c, s))
+                k, k1 = depth[i], depth[i + 1]
+                if k1 > k:
+                    k = k1
+                depth[i] = depth[i + 1] = k + 1
+                if k < len(layers):
+                    layers[k].append((i, c, s))
+                else:
+                    layers.append([(i, c, s)])
             if not restart:
                 d[l] -= p
                 e[l] = g
                 e[m] = 0.0
-    depth = [0] * n
-    layers: list[list[tuple[int, float, float]]] = []
-    for rotation in rotations:
-        i = rotation[0]
-        k, k1 = depth[i], depth[i + 1]
-        if k1 > k:
-            k = k1
-        depth[i] = depth[i + 1] = k + 1
-        if k < len(layers):
-            layers[k].append(rotation)
-        else:
-            layers.append([rotation])
     for layer in layers:
         i, c, s = (np.array(column) for column in zip(*layer))
         pq = np.column_stack((i, i + 1)).ravel()
@@ -522,12 +514,8 @@ def tridiagonal_solve(t, b) -> np.ndarray:
     SingularMatrix when an elimination pivot is zero or below PIVOT_RTOL
     relative to the largest entry of t.
     """
-    t = as_matrix(t, "t")
-    _require_square(t, "t")
+    t, b = _square_system(t, b, "t", "b")
     n = t.shape[0]
-    b = _as_rhs(b, "b")
-    if b.shape[0] != n:
-        raise DimensionMismatch(f"b has {b.shape[0]} rows, expected {n}")
     scale = np.abs(t).max()
     diag = np.diag(t).copy()
     lower = np.diag(t, -1)
@@ -535,15 +523,13 @@ def tridiagonal_solve(t, b) -> np.ndarray:
     # A view of b, which _as_rhs copied: the elimination may work in place.
     rhs = b.reshape(n, -1)
     # Thomas elimination: sweep down, then back-substitute.
-    for i in range(1, n):
-        piv = diag[i - 1]
-        if abs(piv) < PIVOT_RTOL * scale or piv == 0.0:
-            raise SingularMatrix(f"vanishing pivot at row {i - 1}")
-        w = lower[i - 1] / piv
-        diag[i] -= w * upper[i - 1]
-        rhs[i] -= w * rhs[i - 1]
-    if abs(diag[n - 1]) < PIVOT_RTOL * scale or diag[n - 1] == 0.0:
-        raise SingularMatrix(f"vanishing pivot at row {n - 1}")
+    for i in range(n):
+        if i > 0:
+            w = lower[i - 1] / diag[i - 1]
+            diag[i] -= w * upper[i - 1]
+            rhs[i] -= w * rhs[i - 1]
+        if abs(diag[i]) < PIVOT_RTOL * scale or diag[i] == 0.0:
+            raise SingularMatrix(f"vanishing pivot at row {i}")
     x = np.zeros_like(rhs)
     x[n - 1] = rhs[n - 1] / diag[n - 1]
     for i in range(n - 2, -1, -1):
@@ -647,8 +633,7 @@ def svd(a) -> SvdFactors:
     sigma = sigma_all[order]
     v = _apply_reflectors(reflectors2, m, rows[order, m:].T)
     u_r = np.zeros((m, m))
-    floor = sigma[0] * np.finfo(float).eps if sigma[0] > 0.0 else 0.0
-    live = int(np.count_nonzero((sigma > floor) & (sigma > 0.0)))
+    live = int(np.count_nonzero(sigma > sigma[0] * np.finfo(float).eps))
     u_r[:, :live] = rows[order[:live], :m].T / sigma[:live]
     if live < m:
         # The trailing columns of the reflector product that triangularizes

@@ -288,6 +288,13 @@ def test_evaluate_contract_violation_exit_code(tmp_path, capsys):
     assert "row 1" in capsys.readouterr().err
 
 
+def test_evaluate_rejects_header_only_file(tmp_path, capsys):
+    path = tmp_path / "header.csv"
+    path.write_text("session,run,image,label,f0\n")
+    assert main(["evaluate", str(path), "--repeats", "1"]) == 1
+    assert "no data rows" in capsys.readouterr().err
+
+
 def test_evaluate_repeated_solver(tmp_path, capsys):
     path = _tiny_dataset(tmp_path)
     assert main(["evaluate", str(path), "--solvers", "svd,lu,svd",

@@ -185,6 +185,13 @@ def test_csv_no_features(tmp_path):
         load_csv(path)
 
 
+def test_csv_rejects_header_only_file(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("session,run,image,label,f0,f1\n")
+    with pytest.raises(SchemaError, match="no data rows"):
+        load_csv(path)
+
+
 def test_csv_rejects_nan_with_location(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("session,run,image,label,f0,f1\n0,0,0,1,1.0,nan\n")

@@ -229,8 +229,7 @@ def _reflector_loop_reduce(work):
     reflectors = []
     for j in range(work.shape[1]):
         v = linalg._reflector(work[j:, j])
-        if v is not None:
-            work[j:, j:] -= 2.0 * np.outer(v, v @ work[j:, j:])
+        work[j:, j:] -= 2.0 * np.outer(v, v @ work[j:, j:])
         reflectors.append(v)
     return reflectors
 
@@ -241,8 +240,7 @@ def _reflector_loop_apply(reflectors, n, top):
     out[:top.shape[0]] = top
     for j in range(len(reflectors) - 1, -1, -1):
         v = reflectors[j]
-        if v is not None:
-            out[j:] -= 2.0 * np.outer(v, v @ out[j:])
+        out[j:] -= 2.0 * np.outer(v, v @ out[j:])
     return out
 
 
@@ -250,14 +248,15 @@ def _reflector_loop_apply(reflectors, n, top):
 def test_blocked_householder_matches_reflector_loop(cols):
     rng = np.random.default_rng(41)
     a = rng.standard_normal((cols + 15, cols))
-    a[:, cols // 2] = 0.0  # a None reflector inside a block
+    a[:, cols // 2] = 0.0  # a zero (identity) reflector inside a block
     n = a.shape[0]
     blocked, looped = a.copy(), a.copy()
     refl = linalg._householder_reduce(blocked)
     ref_refl = _reflector_loop_reduce(looped)
     # The blocked update reorders the sums, so agreement is to round-off.
     tol = 100 * n * np.finfo(float).eps
-    assert [v is None for v in refl] == [v is None for v in ref_refl]
+    for reflectors in (refl, ref_refl):
+        assert [j for j, v in enumerate(reflectors) if not v.any()] == [cols // 2]
     assert fro(np.triu(blocked[:cols]) - np.triu(looped[:cols])) <= tol * fro(a)
     for top in (np.eye(cols), rng.standard_normal((cols, cols))):
         got = linalg._apply_reflectors(refl, n, top)
@@ -503,6 +502,16 @@ def test_tridiagonal_solve_random():
 def test_tridiagonal_solve_singular():
     with pytest.raises(SingularMatrix):
         tridiagonal_solve(np.zeros((3, 3)), np.ones(3))
+
+
+@pytest.mark.parametrize("t, row", [
+    ([[0.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]], 0),
+    ([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]], 1),
+    ([[1.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 1.0]], 2),
+])
+def test_tridiagonal_solve_names_the_vanishing_pivot_row(t, row):
+    with pytest.raises(SingularMatrix, match=f"vanishing pivot at row {row}$"):
+        tridiagonal_solve(np.array(t), np.ones(3))
 
 
 def test_tridiagonal_solve_pivot_test_is_relative():

@@ -105,9 +105,9 @@ def test_schur_invariants(seed):
 
 
 def _zero_column_second_block(rng):
-    # The preconditioner's reflector for the zero column is None inside the
-    # second block, and the 2NB + 5 live columns of u are completed through
-    # the blocked reduction.
+    # The preconditioner's reflector for the zero column is zero, the
+    # identity, inside the second block, and the 2NB + 5 live columns of u
+    # are completed through the blocked reduction.
     a = rng.standard_normal((2 * NB + 16, 2 * NB + 6))
     a[:, NB + 8] = 0.0
     return a
