@@ -369,19 +369,40 @@ def hessenberg_reduce(a) -> SimilarityFactors:
     Returns q orthogonal and t symmetric tridiagonal with q @ t @ q.T == a
     within round-off. Matrices of size <= 2 are already tridiagonal and are
     returned with q = identity.
+
+    Step k takes reflector v from column k below the diagonal, records the
+    sub-diagonal entry it leaves there, and updates the trailing block
+    A = work[k + 1:, k + 1:] only, by the symmetric rank-2 update
+    A -= v w.T + w v.T with y = A v and w = 2 (y - (v.T y) v), as one
+    (s x 2) @ (2 x s) product (the update of LAPACK's dsytrd; Dongarra,
+    Hammarling & Sorensen, J. Comput. Appl. Math. 27, 1989). Rows and
+    columns <= k are never touched again. t is assembled from the diagonal
+    and the recorded sub-diagonal, so it is exactly symmetric.
     """
     work = as_matrix(a, "a")
     _require_symmetric(work, "a")
     n = work.shape[0]
     # Reflector k acts on rows k + 1:, so it is stored at index k + 1.
     reflectors = [np.zeros(n)]
+    off = np.zeros(n - 1)
+    # [v w] and [w; v]: their product is v w.T + w v.T.
+    vw = np.empty((n, 2))
+    wv = np.empty((2, n))
     for k in range(n - 2):
-        v = _reflector(work[k + 1:, k])
+        x = work[k + 1:, k]
+        v = _reflector(x)
         reflectors.append(v)
-        # Two-sided application keeps the trailing block symmetric.
-        work[k + 1:, k:] -= 2.0 * np.outer(v, v @ work[k + 1:, k:])
-        work[:, k + 1:] -= 2.0 * np.outer(work[:, k + 1:] @ v, v)
-    off = np.diag(work, -1)
+        off[k] = x[0] - 2.0 * (v @ x) * v[0]
+        trailing = work[k + 1:, k + 1:]
+        y = trailing @ v
+        size = n - k - 1
+        left, right = vw[:size], wv[:, :size]
+        left[:, 0] = right[1] = v
+        left[:, 1] = right[0] = 2.0 * (y - (v @ y) * v)
+        trailing -= left @ right
+    # The last sub-diagonal entry is final only once the last step is done.
+    if n > 1:
+        off[n - 2] = work[n - 1, n - 2]
     t = np.diag(np.diag(work)) + np.diag(off, -1) + np.diag(off, 1)
     return SimilarityFactors(q=_apply_reflectors(reflectors, n, np.eye(n)), t=t)
 
@@ -412,14 +433,16 @@ def _tridiag_eigen(d: np.ndarray, e: np.ndarray, zt: np.ndarray,
     zt, updated in place, become the matching eigenvectors. e[m] deflates
     once |e[m]| <= eps * (|d[m]| + |d[m + 1]|), relative to its own
     neighbours, so small eigenvalues keep their relative accuracy. It works
-    in two steps:
+    in three steps:
 
-    - record and layer: the scalar QL loop runs on Python floats, which are
-      faster here than numpy's, and records each rotation (i, c, s) of rows
-      i and i + 1 instead of applying it. The rotation goes one layer past
-      the last layer that touched row i or row i + 1, so the rotations of a
-      layer act on disjoint row pairs and every row meets its rotations in
-      recorded order;
+    - record: the scalar QL loop runs on Python floats, which are faster
+      here than numpy's, and records each rotation of rows i and i + 1 as
+      (layer, i, c, s) in four flat lists instead of applying it. The
+      rotation goes one layer past the last layer that touched row i or
+      row i + 1, so the rotations of a layer act on disjoint row pairs and
+      every row meets its rotations in recorded order;
+    - group: one stable argsort by layer makes each layer's row pairs,
+      cosines and sines a slice of three arrays, in recorded order;
     - apply: each layer rotates its row pairs of zt at once (_rotate_pairs).
 
     Rotations of one layer commute, so zt ends as the recorded order leaves
@@ -431,7 +454,15 @@ def _tridiag_eigen(d: np.ndarray, e: np.ndarray, zt: np.ndarray,
     eps = float(np.finfo(float).eps)
     d, e = d.tolist(), e.tolist() + [0.0]
     depth = [0] * n
-    layers: list[list[tuple[int, float, float]]] = []
+    # Rotation j is in layer layer_of[j] and turns rows row_of[j] and
+    # row_of[j] + 1 by cos_of[j], sin_of[j]. The appends are bound once,
+    # outside the hot loop.
+    layer_of: list[int] = []
+    row_of: list[int] = []
+    cos_of: list[float] = []
+    sin_of: list[float] = []
+    add_layer, add_row = layer_of.append, row_of.append
+    add_cos, add_sin = cos_of.append, sin_of.append
     total = 0
     for l in range(n):
         while True:
@@ -473,18 +504,26 @@ def _tridiag_eigen(d: np.ndarray, e: np.ndarray, zt: np.ndarray,
                 if k1 > k:
                     k = k1
                 depth[i] = depth[i + 1] = k + 1
-                if k < len(layers):
-                    layers[k].append((i, c, s))
-                else:
-                    layers.append([(i, c, s)])
+                add_layer(k)
+                add_row(i)
+                add_cos(c)
+                add_sin(s)
             if not restart:
                 d[l] -= p
                 e[l] = g
                 e[m] = 0.0
-    for layer in layers:
-        i, c, s = (np.array(column) for column in zip(*layer))
-        pq = np.column_stack((i, i + 1)).ravel()
-        _rotate_pairs(zt, pq, zt[pq].reshape(i.size, 2, -1), c, s)
+    layer = np.array(layer_of, dtype=np.intp)
+    order = np.argsort(layer, kind="stable")
+    i = np.array(row_of, dtype=np.intp)[order]
+    pq = np.column_stack((i, i + 1)).ravel()
+    c = np.array(cos_of)[order]
+    s = np.array(sin_of)[order]
+    start = 0
+    for end in np.cumsum(np.bincount(layer)).tolist():
+        rows = pq[2 * start:2 * end]
+        _rotate_pairs(zt, rows, zt[rows].reshape(end - start, 2, -1),
+                      c[start:end], s[start:end])
+        start = end
     return np.array(d), total
 
 

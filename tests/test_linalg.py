@@ -361,6 +361,30 @@ def test_hessenberg_random_symmetric():
     assert fro(f.q.T @ f.q - np.eye(6)) <= 1e-12
 
 
+def test_hessenberg_zero_reflector_mid_loop():
+    # Blocks of 5 and 4 keep column 4 exactly zero below row 5, so step 4
+    # meets a zero sub-column between steps with live reflectors.
+    rng = np.random.default_rng(12)
+    a = np.zeros((9, 9))
+    for lo, hi in ((0, 5), (5, 9)):
+        b = rng.standard_normal((hi - lo, hi - lo))
+        a[lo:hi, lo:hi] = b + b.T
+    f = hessenberg_reduce(a)
+    assert f.t[5, 4] == 0.0
+    assert not np.triu(f.t, 2).any() and not np.tril(f.t, -2).any()
+    assert np.array_equal(f.t, f.t.T)
+    assert fro(a - f.q @ f.t @ f.q.T) <= 1e-12 * fro(a)
+    assert fro(f.q.T @ f.q - np.eye(9)) <= 1e-12
+
+
+def test_hessenberg_matches_eigenvalues():
+    b = np.random.default_rng(15).standard_normal((150, 150))
+    a = b + b.T
+    t = hessenberg_reduce(a).t
+    err = np.abs(np.linalg.eigvalsh(t) - np.linalg.eigvalsh(a)).max()
+    assert err <= 1e-12 * np.linalg.norm(a, 2)
+
+
 def test_hessenberg_rejects_asymmetric():
     with pytest.raises(NotSymmetric):
         hessenberg_reduce(np.array([[1.0, 2.0], [0.0, 1.0]]))
@@ -441,12 +465,14 @@ def _wavefront_cases():
     u = rng.standard_normal(30)
     g = np.logspace(0, -5, 25)  # cond(a) about 1e10
     b = rng.standard_normal((25, 25))
+    h = 1.0 / (1.0 + np.exp(-rng.uniform(-1.0, 1.0, (300, 120))))
     return {
         "psd-40": x.T @ x,
         "identity-plus-rank-one": np.eye(30) + np.outer(u, u),
         "diagonal": np.diag([3.0, 1.0, 4.0, 1.5, 9.0]),
         "2x2": np.array([[2.0, 1.0], [1.0, 3.0]]),
         "graded": g[:, None] * (b @ b.T + 25.0 * np.eye(25)) * g[None, :],
+        "sigmoid-gram-120": h.T @ h,
     }
 
 
