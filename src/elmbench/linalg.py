@@ -297,6 +297,33 @@ def _householder_reduce(work: np.ndarray) -> list:
     return reflectors
 
 
+def _pivoted_reduce(work: np.ndarray) -> tuple[list, np.ndarray]:
+    """Reduce a square work in place to upper-triangular form, pivoting columns.
+
+    Returns the reflectors, applied as _householder_reduce's are, and perm
+    with work[:, perm] == q r for the input work. Step j swaps the remaining
+    column of largest norm over rows j: into place (Businger & Golub, Numer.
+    Math. 7, 1965), so |r[j, j]| >= ||r[j:, k]|| for every k > j. It is
+    unblocked: a pivot choice needs the norms after every previous step.
+    """
+    m = work.shape[1]
+    # Reduced transposed, so each column is a contiguous row.
+    wt = np.ascontiguousarray(work.T)
+    perm = np.arange(m)
+    reflectors: list[np.ndarray] = []
+    for j in range(m):
+        rest = wt[j:, j:]
+        p = j + int(np.argmax(np.einsum("ij,ij->i", rest, rest)))
+        if p != j:
+            wt[[j, p]] = wt[[p, j]]
+            perm[[j, p]] = perm[[p, j]]
+        v = _reflector(wt[j, j:])
+        rest -= np.outer(2.0 * (rest @ v), v)
+        reflectors.append(v)
+    work[:] = wt.T
+    return reflectors, perm
+
+
 def _apply_reflectors(reflectors: list, n: int, top: np.ndarray) -> np.ndarray:
     """Return q @ [top; 0], q the n-row product of the stored reflectors.
 
@@ -603,19 +630,28 @@ def _round_robin(m: int) -> list[tuple[np.ndarray, np.ndarray]]:
 def svd(a) -> SvdFactors:
     """Thin SVD by QR-LQ-preconditioned one-sided Jacobi in round-robin order.
 
-    A wide matrix is factored through its transpose. A tall n x m matrix
-    a == q r is first reduced by Householder reflectors to its m x m
-    triangular factor r; a second reduction of r.T == q2 r2 gives
-    r == r2.T q2.T (Drmac & Veselic, "New fast and accurate Jacobi SVD
-    algorithm I", SIMAX 29(4), 2008), whose columns are closer to
-    orthogonal than those of r, so fewer sweeps remain. The columns of r2.T
-    are then rotated pairwise until mutually orthogonal, each round rotating
-    a round-robin set of disjoint pairs at once: r2.T w == y diag(sigma).
-    The column norms become the singular values (sorted descending). The
-    normalized columns y are mapped back through q's reflectors to give u;
-    the accumulated rotations w are mapped through q2's reflectors to give
-    v. Columns whose singular value underflows sort last; they are completed
-    to an orthonormal basis from the same reflector kernel, so u always has
+    A wide matrix is factored through its transpose. A tall n x m matrix is
+    preconditioned by three Householder reductions:
+
+    - the blocked reduction a == q r to its m x m triangular factor r;
+    - a column-pivoted reduction r[:, perm] == qp rp (Businger & Golub,
+      "Linear least squares solutions by Householder transformations",
+      Numer. Math. 7, 1965). Since a[:, perm] == (q qp) rp, this is the
+      pivoted QR of a, while the tall reduction stays blocked;
+    - the LQ step, a reduction of rp.T == q2 r2, so rp == r2.T q2.T
+      (Drmac & Veselic, "New fast and accurate Jacobi SVD algorithm I",
+      SIMAX 29(4), 2008).
+
+    The columns of r2.T are closer to orthogonal than those of r, and more
+    so with the pivoting, so fewer sweeps remain. They are then rotated
+    pairwise until mutually orthogonal, each round rotating a round-robin
+    set of disjoint pairs at once: r2.T w == y diag(sigma). The column
+    norms become the singular values (sorted descending). The normalized
+    columns y are mapped back through qp's and then q's reflectors to give
+    u; the accumulated rotations w are mapped through q2's reflectors and
+    their rows put back in the order of a's columns to give v. Columns
+    whose singular value underflows sort last; they are completed to an
+    orthonormal basis from the same reflector kernel, so u always has
     orthonormal columns.
     """
     a = as_matrix(a, "a")
@@ -623,9 +659,11 @@ def svd(a) -> SvdFactors:
     a = np.ascontiguousarray(a.T if wide else a)
     n, m = a.shape
     reflectors = _householder_reduce(a)
-    # The LQ step reduces r.T, so the columns of r2.T that Jacobi rotates
-    # come out as the rows of r2.
-    rt = np.ascontiguousarray(np.triu(a[:m]).T)
+    r = np.triu(a[:m])
+    pivots, perm = _pivoted_reduce(r)
+    # r now holds rp. The LQ step reduces rp.T, so the columns of r2.T that
+    # Jacobi rotates come out as the rows of r2.
+    rt = np.ascontiguousarray(np.triu(r).T)
     reflectors2 = _householder_reduce(rt)
     # Row i holds column i of r2.T followed by column i of w, so one gather
     # fetches everything a round rotates. Each round's pairs are interleaved
@@ -670,7 +708,8 @@ def svd(a) -> SvdFactors:
     sigma_all = np.sqrt(np.einsum("ij,ij->i", rows[:, :m], rows[:, :m]))
     order = np.argsort(sigma_all)[::-1]
     sigma = sigma_all[order]
-    v = _apply_reflectors(reflectors2, m, rows[order, m:].T)
+    v = np.empty((m, m))
+    v[perm] = _apply_reflectors(reflectors2, m, rows[order, m:].T)
     u_r = np.zeros((m, m))
     live = int(np.count_nonzero(sigma > sigma[0] * np.finfo(float).eps))
     u_r[:, :live] = rows[order[:live], :m].T / sigma[:live]
@@ -679,7 +718,7 @@ def svd(a) -> SvdFactors:
         # the live block span its orthogonal complement.
         fill = _householder_reduce(u_r[:, :live].copy())
         u_r[:, live:] = _apply_reflectors(fill, m, np.eye(m))[:, live:]
-    u = _apply_reflectors(reflectors, n, u_r)
+    u = _apply_reflectors(reflectors, n, _apply_reflectors(pivots, m, u_r))
     if wide:
         u, v = v, u
     return SvdFactors(u=u, sigma=sigma, v=v, sweeps=sweep + 1)

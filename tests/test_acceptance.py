@@ -202,6 +202,7 @@ def test_criterion_07_flop_model_grid(capsys):
     _passed(7, "flop table exact on 20 grid points, SVD the strict maximum")
 
 
+@pytest.mark.slow
 def test_criterion_08_speed_ordering_at_scale():
     rng = np.random.default_rng(77)
     features = rng.uniform(0.0, 1.0, (5000, 64))

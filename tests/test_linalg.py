@@ -264,6 +264,40 @@ def test_blocked_householder_matches_reflector_loop(cols):
         assert fro(got - want) <= tol * fro(top)
 
 
+def _rank_four_with_zero_column():
+    rng = np.random.default_rng(43)
+    a = rng.standard_normal((10, 4)) @ rng.standard_normal((4, 10))
+    a[:, 6] = 0.0
+    return a
+
+
+@pytest.mark.parametrize("a, rank", [
+    (np.random.default_rng(42).standard_normal((30, 30)), 30),
+    (_rank_four_with_zero_column(), 4),
+], ids=["random", "rank4"])
+def test_pivoted_reduce_picks_the_largest_remaining_column(a, rank):
+    m = a.shape[0]
+    work = a.copy()
+    reflectors, perm = linalg._pivoted_reduce(work)
+    r = np.triu(work)
+    assert sorted(perm.tolist()) == list(range(m))
+    q = linalg._apply_reflectors(reflectors, m, np.eye(m))
+    assert fro(a[:, perm] - q @ r) <= 1e-12 * fro(a)
+    # Businger-Golub: each pivot is at least the norm of every later column
+    # on and below its row, up to round-off in the scale of a.
+    tol = 100 * m * np.finfo(float).eps * fro(a)
+    for j in range(m):
+        for k in range(j + 1, m):
+            assert np.linalg.norm(r[j:, k]) <= abs(r[j, j]) + tol, (j, k)
+    if rank < m:
+        # The zero column stays exactly zero and goes behind the independent
+        # columns; the dependent ones leave round-off pivots.
+        assert abs(r[rank - 1, rank - 1]) > 1e-3 * fro(a)
+        assert np.abs(np.diag(r)[rank:]).max() <= tol
+        zero = perm.tolist().index(6)
+        assert zero >= rank and not r[:, zero].any()
+
+
 def test_householder_identity():
     f = householder_qr(np.eye(2))
     assert np.allclose(f.q, np.eye(2))
@@ -599,14 +633,15 @@ def test_svd_wide_matrix():
 
 
 def test_svd_sweeps_on_hidden_and_ridge_matrices():
-    # The QR-LQ preconditioner leaves 8 sweeps on each of these matrices;
-    # QR alone took 11 on h and 13 on the ridge normal matrix.
+    # QR, pivoted QR, then LQ leaves 7 sweeps on each of these matrices;
+    # QR then LQ without pivoting left 8 on each, and QR alone took 11 on h
+    # and 13 on the ridge normal matrix.
     x = np.random.default_rng(3).uniform(0.0, 1.0, (200, 16))
     cfg = ElmConfig(hidden_neurons=50, rng_seed=3)
     weights, biases = init_random_layer(cfg, 16)
     h = hidden_output(x, weights, biases, cfg.activation)
-    assert svd(h).sweeps <= 9
-    assert svd(h.T @ h + 0.1 * np.eye(50)).sweeps <= 9
+    assert svd(h).sweeps <= 7
+    assert svd(h.T @ h + 0.1 * np.eye(50)).sweeps <= 7
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 100])
