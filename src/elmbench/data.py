@@ -93,6 +93,10 @@ def _grid(sessions: np.ndarray, runs: np.ndarray, images: np.ndarray) -> np.ndar
 # ---------------------------------------------------------------------------
 
 _META_COLUMNS = ("session", "run", "image", "label")
+# Deletes the cell separator and every character a decimal literal may have.
+# On cells with nothing else, int() and float() accept decimal literals only;
+# alone they would also take "1_000", padding, "nan" and non-ASCII digits.
+_LITERAL_CHARS = str.maketrans("", "", "0123456789+-.eE,")
 
 
 def write_csv(dataset: Dataset, path) -> None:
@@ -167,6 +171,10 @@ def load_csv(path) -> Dataset:
         cells = line.split(",")
         if len(cells) != n_cols:
             raise ParseError(f"{path}: row {r} has {len(cells)} cells, expected {n_cols}")
+        if line.translate(_LITERAL_CHARS):
+            bad = next(i for i, cell in enumerate(cells) if cell.translate(_LITERAL_CHARS))
+            raise ParseError(f"{path}: row {r}, column {header[bad]}: "
+                             f"not a decimal literal {cells[bad]!r}")
         try:
             layout[r - 1] = [int(cells[0]), int(cells[1]), int(cells[2])]
         except ValueError as exc:

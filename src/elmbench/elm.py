@@ -191,7 +191,7 @@ def _solve(kind: SolverKind, a: np.ndarray, b: np.ndarray) -> np.ndarray:
             fac.u, linalg.forward_substitute(fac.l, b[fac.perm]))
     if kind in _QR:
         fac = _QR[kind](a)
-        return linalg.triangular_inverse(fac.r) @ (fac.q.T @ b)
+        return linalg.backward_substitute(fac.r, fac.q.T @ b)
     if kind is SolverKind.SCHUR:
         fac = linalg.schur_decompose(a)
         eigs = np.diag(fac.t)

@@ -377,6 +377,11 @@ def triangular_inverse(r) -> np.ndarray:
 
     Raises SingularMatrix when a diagonal entry falls below PIVOT_RTOL
     relative to the largest entry of r.
+
+    No solver route calls it: the QR routes solve r by backward_substitute.
+    It stays public because the traced benchmark run (bench/tracing.py)
+    wraps it by name and reports its per-layer metrics; it goes when those
+    do.
     """
     r = as_matrix(r, "r")
     _require_square(r, "r")

@@ -322,6 +322,9 @@ def test_evaluate_contract_violation_exit_code(tmp_path, capsys):
     garbage.write_text("session,run,image,label,f0\n0,0,0,1,oops\n")
     assert main(["evaluate", str(garbage), "--repeats", "1"]) == 1
     assert "row 1" in capsys.readouterr().err
+    garbage.write_text("session,run,image,label,f0\n0,0,0,1,1_000\n")
+    assert main(["evaluate", str(garbage), "--repeats", "1"]) == 1
+    assert "row 1, column f0" in capsys.readouterr().err
 
 
 def test_evaluate_rejects_header_only_file(tmp_path, capsys):

@@ -200,10 +200,22 @@ def test_csv_rejects_nan_with_location(tmp_path):
 
 
 def test_csv_rejects_garbage_cell(tmp_path):
+    # int() and float() take all but the first cell; none is a decimal literal
+    rows = {
+        "0,0,0,1,zzz": "row 1",
+        "0,0,0,1,1_000": "row 1, column f0",
+        "0,0,0,1,\u0661": "row 1, column f0",
+        "0,0,0,1, 1.5": "row 1, column f0",
+        "0,0,0,1,infinity": "row 1, column f0",
+        "1_0,0,0,1,1.0": "row 1, column session",
+        "0,\u0661,0,1,1.0": "row 1, column run",
+        "0,0,0,0_1,1.0": "row 1, column label",
+    }
     path = tmp_path / "bad.csv"
-    path.write_text("session,run,image,label,f0\n0,0,0,1,zzz\n")
-    with pytest.raises(ParseError, match="row 1"):
-        load_csv(path)
+    for row, where in rows.items():
+        path.write_text(f"session,run,image,label,f0\n{row}\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=where):
+            load_csv(path)
 
 
 def test_csv_rejects_out_of_order_rows(tmp_path):

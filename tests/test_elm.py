@@ -205,6 +205,41 @@ def test_ridge_matches_dense_oracle(kind):
     assert np.linalg.norm(w - oracle) <= 1e-8 * np.linalg.norm(oracle)
 
 
+QR_SOLVERS = [SolverKind.MGS_QR, SolverKind.HH_QR]
+
+
+@pytest.mark.parametrize("kind", QR_SOLVERS)
+def test_qr_routes_solve_without_explicit_inverse(kind, monkeypatch):
+    def no_inverse(r):
+        raise AssertionError("a QR route formed the inverse of r")
+
+    monkeypatch.setattr("elmbench.linalg.triangular_inverse", no_inverse)
+    rng = np.random.default_rng(29)
+    h = rng.uniform(-1.0, 1.0, (30, 6))
+    t = rng.uniform(-1.0, 1.0, 30)
+    for lam in (0.0, 0.1):
+        oracle = np.linalg.solve(h.T @ h + lam * np.eye(6), h.T @ t)
+        w = solve_output_weights(h, t, kind, ridge_lambda=lam)
+        assert np.linalg.norm(w - oracle) <= 1e-8 * np.linalg.norm(oracle), lam
+    inner = np.linalg.solve(h.T @ h + 0.1 * np.eye(6), h.T)
+    leverage = 1.0 - np.einsum("ij,ji->i", h, inner)
+    vals = hat_diagnostic(h, 0.1, solver=kind)
+    assert np.linalg.norm(vals - leverage) <= 1e-8 * np.linalg.norm(leverage)
+
+
+@pytest.mark.parametrize("kind", QR_SOLVERS)
+def test_qr_routes_scale_invariant_rank_check(kind):
+    # Full rank, one column tiny: the factorization's per-column check passes
+    # it, and substitution does not judge r's diagonal against max |r|.
+    rng = np.random.default_rng(37)
+    h = rng.uniform(-1.0, 1.0, (30, 4))
+    h[:, 2] *= 1e-13
+    t = rng.uniform(-1.0, 1.0, 30)
+    w = solve_output_weights(h, t, kind)
+    assert (np.linalg.norm(h.T @ (h @ w - t))
+            <= 1e-8 * np.linalg.norm(h.T @ t))
+
+
 def test_ridge_shrinks_weights():
     rng = np.random.default_rng(31)
     h = rng.uniform(-1.0, 1.0, (30, 6))
