@@ -146,7 +146,7 @@ def solve_output_weights(h, targets, solver: SolverKind,
     if h.shape[0] < h.shape[1]:
         raise DimensionMismatch(
             f"need at least as many samples as hidden neurons, got {h.shape}")
-    if ridge_lambda == 0.0 and (solver is SolverKind.SVD or solver in _QR):
+    if ridge_lambda == 0.0 and solver in _FACTOR_H:
         return _solve(solver, h, t)
     return _solve(solver, _normal_matrix(h, ridge_lambda), h.T @ t)
 
@@ -168,10 +168,16 @@ def _normal_matrix(h: np.ndarray, lam: float) -> np.ndarray:
     return gram
 
 
+# The routes that factor h itself at ridge_lambda = 0.
+_FACTOR_H = (SolverKind.SVD, SolverKind.MGS_QR, SolverKind.HH_QR)
+
 # Bound at import: the traced benchmark run (bench/tracing.py) wraps the public
-# linalg functions after this, so it does not see these calls and instead
-# factors the same matrix again by a direct call; each QR is counted once.
-_QR = {SolverKind.MGS_QR: linalg.mgs_qr, SolverKind.HH_QR: linalg.householder_qr}
+# linalg functions after this, so it does not see this call and instead
+# factors the same matrix again by a direct call; each QR is counted once. The
+# hh-qr route calls the private linalg._householder_factor, which is not
+# wrapped either; the traced run's direct call for it is the public
+# householder_qr, which also forms the q that the route never forms.
+_mgs_qr = linalg.mgs_qr
 
 
 def _solve(kind: SolverKind, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -189,9 +195,16 @@ def _solve(kind: SolverKind, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         fac = linalg.lu_decompose(a)
         return linalg.backward_substitute(
             fac.u, linalg.forward_substitute(fac.l, b[fac.perm]))
-    if kind in _QR:
-        fac = _QR[kind](a)
+    if kind is SolverKind.MGS_QR:
+        fac = _mgs_qr(a)
         return linalg.backward_substitute(fac.r, fac.q.T @ b)
+    if kind is SolverKind.HH_QR:
+        # q.T b from the reflector blocks; r keeps the reflectors' signs,
+        # which flip rows of r and of q.T b alike and so leave w unchanged.
+        blocks, r = linalg._householder_factor(a)
+        qtb = b.copy()
+        linalg._apply_qt(blocks, qtb)
+        return linalg.backward_substitute(r, qtb[:r.shape[0]])
     if kind is SolverKind.SCHUR:
         fac = linalg.schur_decompose(a)
         eigs = np.diag(fac.t)

@@ -268,43 +268,68 @@ def _compact_wy(block: list, rows: int) -> tuple[np.ndarray, np.ndarray]:
     return vt.T, t
 
 
+def _wy_blocks(reflectors: list, n: int) -> list:
+    """Compact-WY blocks (j0, v, t) of a flat list of reflectors on n rows.
+
+    Reflector j acts on rows j:. Each block holds _NB consecutive
+    reflectors from j0 on, as _compact_wy forms them on rows j0:.
+    """
+    return [(j0, *_compact_wy(reflectors[j0:j0 + _NB], n - j0))
+            for j0 in range(0, len(reflectors), _NB)]
+
+
+def _apply_qt(blocks: list, c: np.ndarray) -> None:
+    """Overwrite c, a vector or a matrix of columns, with q.T @ c.
+
+    q is the product of the blocks' reflectors, each block a compact-WY
+    factor I - v t v.T on rows j0:. They are applied first to last, as
+    c -= v (t.T (v.T c)) on rows j0: (LAPACK's dormqr; Schreiber & Van
+    Loan, SIAM J. Sci. Stat. Comput. 10(1), 1989). A column that is zero on
+    those rows stays exactly zero, since v.T c is zero for it.
+    """
+    for j0, v, t in blocks:
+        rows = c[j0:]
+        rows -= v @ (t.T @ (v.T @ rows))
+
+
 def _householder_reduce(work: np.ndarray) -> list:
     """Reduce work (rows >= cols) in place to upper-triangular form.
 
-    Returns the reflector of each column: a unit vector, or zero (the
-    identity) for a column that is already zero on and below the diagonal.
-    Columns are reduced in panels of _NB: inside a panel each reflector
-    updates the panel's remaining columns only; then the panel's compact-WY
-    form I - v t v.T updates every column right of it at once, as
-    c -= v (t.T (v.T c)). A zero column stays exactly zero under that
-    update, since v.T c is zero for it.
+    Returns the compact-WY blocks (j0, v, t) of the reflectors, one per
+    panel of _NB columns, as _wy_blocks forms them. A column already zero
+    on and below the diagonal gets a zero reflector, the identity. Inside a
+    panel each reflector updates the panel's remaining columns only; then
+    the panel's block updates every column right of it at once, through
+    _apply_qt.
     """
-    m = work.shape[1]
-    reflectors: list[np.ndarray] = []
+    n, m = work.shape
+    blocks = []
     for j0 in range(0, m, _NB):
         j1 = min(j0 + _NB, m)
         # The panel is reduced transposed, so each column is a contiguous row.
         panel = np.ascontiguousarray(work[j0:, j0:j1].T)
+        reflectors = []
         for i in range(j1 - j0):
             v = _reflector(panel[i, i:])
             panel[i:, i:] -= np.outer(2.0 * (panel[i:, i:] @ v), v)
             reflectors.append(v)
         work[j0:, j0:j1] = panel.T
+        blocks.append((j0, *_compact_wy(reflectors, n - j0)))
         if j1 < m:
-            v, t = _compact_wy(reflectors[j0:j1], work.shape[0] - j0)
-            trailing = work[j0:, j1:]
-            trailing -= v @ (t.T @ (v.T @ trailing))
-    return reflectors
+            _apply_qt(blocks[-1:], work[:, j1:])
+    return blocks
 
 
 def _pivoted_reduce(work: np.ndarray) -> tuple[list, np.ndarray]:
     """Reduce a square work in place to upper-triangular form, pivoting columns.
 
-    Returns the reflectors, applied as _householder_reduce's are, and perm
-    with work[:, perm] == q r for the input work. Step j swaps the remaining
-    column of largest norm over rows j: into place (Businger & Golub, Numer.
-    Math. 7, 1965), so |r[j, j]| >= ||r[j:, k]|| for every k > j. It is
-    unblocked: a pivot choice needs the norms after every previous step.
+    Returns the compact-WY blocks of the reflectors, as _householder_reduce
+    does, and perm with work[:, perm] == q r for the input work. Step j
+    swaps the remaining column of largest norm over rows j: into place
+    (Businger & Golub, Numer. Math. 7, 1965), so |r[j, j]| >= ||r[j:, k]||
+    for every k > j. The reduction is unblocked, since a pivot choice needs
+    the norms after every previous step; its reflectors are blocked once,
+    at the end.
     """
     m = work.shape[1]
     # Reduced transposed, so each column is a contiguous row.
@@ -321,43 +346,44 @@ def _pivoted_reduce(work: np.ndarray) -> tuple[list, np.ndarray]:
         rest -= np.outer(2.0 * (rest @ v), v)
         reflectors.append(v)
     work[:] = wt.T
-    return reflectors, perm
+    return _wy_blocks(reflectors, m), perm
 
 
-def _apply_reflectors(reflectors: list, n: int, top: np.ndarray) -> np.ndarray:
-    """Return q @ [top; 0], q the n-row product of the stored reflectors.
+def _apply_reflectors(blocks: list, n: int, top: np.ndarray) -> np.ndarray:
+    """Return q @ [top; 0], q the n-row product of the compact-WY blocks.
 
-    Every orthogonal factor is formed here: q itself from top = identity,
-    the SVD's u from its rotated triangular factor. Reflector j acts on rows
-    j:. The reflectors are taken in blocks of _NB, last block to first, and
-    block j0 is applied in its compact-WY form (see _compact_wy) to rows
-    j0: as out -= v (t (v.T out)); a zero reflector in it is the identity.
-    When top is upper triangular, as the identity is, columns < j0 are
-    still zero in rows j0: when block j0 comes, so it cannot change them
-    and is applied to columns j0: only.
+    Every orthogonal factor that is formed at all is formed here: q of
+    householder_qr and hessenberg_reduce from top = identity, the SVD's u
+    from its rotated triangular factor. The blocks are applied last to
+    first, block j0 to rows j0: as out -= v (t (v.T out)), reusing the v and
+    t that the reduction built. When top is upper triangular, as the
+    identity is, columns < j0 are still zero in rows j0: when block j0
+    comes, so it cannot change them and is applied to columns j0: only.
     """
     out = np.zeros((n, top.shape[1]))
     out[:top.shape[0]] = top
     triangular = not np.tril(top, -1).any()
-    for j0 in range((len(reflectors) - 1) // _NB * _NB, -1, -_NB):
-        v, t = _compact_wy(reflectors[j0:j0 + _NB], n - j0)
+    for j0, v, t in reversed(blocks):
         block = out[j0:, j0 if triangular else 0:]
         block -= v @ (t @ (v.T @ block))
     return out
 
 
-def householder_qr(a) -> QrFactors:
-    """Thin QR assembled from successive Householder reflectors.
+def _householder_factor(a) -> tuple[list, np.ndarray]:
+    """Householder reduction of a (rows >= cols) to its blocks and r.
 
-    Sign convention: the diagonal of r is made non-negative by flipping the
-    sign of matching q columns, so r is comparable across QR methods.
+    Returns the compact-WY blocks of q, as _householder_reduce gives them,
+    and the m x m upper-triangular r with a == q[:, :m] @ r; q is not
+    formed, and the diagonal of r keeps the reflectors' signs. Raises
+    RankDeficient, naming the first column whose pivot falls below
+    PIVOT_RTOL relative to that column's norm in a.
     """
     a = as_matrix(a, "a")
     n, m = a.shape
     if n < m:
         raise DimensionMismatch(f"need rows >= cols, got {a.shape}")
     col_scale = np.sqrt(np.sum(a * a, axis=0))
-    reflectors = _householder_reduce(a)
+    blocks = _householder_reduce(a)
     r = np.triu(a[:m, :m])
     # |r[j, j]| is the norm column j had on and below the diagonal when it
     # was reflected.
@@ -365,7 +391,21 @@ def householder_qr(a) -> QrFactors:
     collapsed = np.flatnonzero((pivots < PIVOT_RTOL * col_scale) | (pivots == 0.0))
     if collapsed.size:
         raise RankDeficient(f"column {collapsed[0]} collapsed during reflection")
-    q = _apply_reflectors(reflectors, n, np.eye(m))
+    return blocks, r
+
+
+def householder_qr(a) -> QrFactors:
+    """Thin QR assembled from successive Householder reflectors.
+
+    Reduces a by _householder_factor, then forms q from its compact-WY
+    blocks. Sign convention: the diagonal of r is made non-negative by
+    flipping the sign of matching q columns, so r is comparable across QR
+    methods. The hh-qr solver route uses _householder_factor directly and
+    applies q.T to its right-hand side block by block, never forming q.
+    """
+    blocks, r = _householder_factor(a)
+    n, m = np.shape(a)
+    q = _apply_reflectors(blocks, n, np.eye(m))
     flip = np.diag(r) < 0.0
     r[flip, :] *= -1.0
     q[:, flip] *= -1.0
@@ -436,7 +476,8 @@ def hessenberg_reduce(a) -> SimilarityFactors:
     if n > 1:
         off[n - 2] = work[n - 1, n - 2]
     t = np.diag(np.diag(work)) + np.diag(off, -1) + np.diag(off, 1)
-    return SimilarityFactors(q=_apply_reflectors(reflectors, n, np.eye(n)), t=t)
+    q = _apply_reflectors(_wy_blocks(reflectors, n), n, np.eye(n))
+    return SimilarityFactors(q=q, t=t)
 
 
 def _rotate_pairs(rows: np.ndarray, pq: np.ndarray, pair: np.ndarray,
@@ -663,13 +704,13 @@ def svd(a) -> SvdFactors:
     wide = a.shape[0] < a.shape[1]
     a = np.ascontiguousarray(a.T if wide else a)
     n, m = a.shape
-    reflectors = _householder_reduce(a)
+    blocks = _householder_reduce(a)
     r = np.triu(a[:m])
-    pivots, perm = _pivoted_reduce(r)
+    pivot_blocks, perm = _pivoted_reduce(r)
     # r now holds rp. The LQ step reduces rp.T, so the columns of r2.T that
     # Jacobi rotates come out as the rows of r2.
     rt = np.ascontiguousarray(np.triu(r).T)
-    reflectors2 = _householder_reduce(rt)
+    blocks2 = _householder_reduce(rt)
     # Row i holds column i of r2.T followed by column i of w, so one gather
     # fetches everything a round rotates. Each round's pairs are interleaved
     # (p0, q0, p1, q1, ...) so a pair is one 2 x 2m slab of the gather; the
@@ -714,7 +755,7 @@ def svd(a) -> SvdFactors:
     order = np.argsort(sigma_all)[::-1]
     sigma = sigma_all[order]
     v = np.empty((m, m))
-    v[perm] = _apply_reflectors(reflectors2, m, rows[order, m:].T)
+    v[perm] = _apply_reflectors(blocks2, m, rows[order, m:].T)
     u_r = np.zeros((m, m))
     live = int(np.count_nonzero(sigma > sigma[0] * np.finfo(float).eps))
     u_r[:, :live] = rows[order[:live], :m].T / sigma[:live]
@@ -723,7 +764,7 @@ def svd(a) -> SvdFactors:
         # the live block span its orthogonal complement.
         fill = _householder_reduce(u_r[:, :live].copy())
         u_r[:, live:] = _apply_reflectors(fill, m, np.eye(m))[:, live:]
-    u = _apply_reflectors(reflectors, n, _apply_reflectors(pivots, m, u_r))
+    u = _apply_reflectors(blocks, n, _apply_reflectors(pivot_blocks, m, u_r))
     if wide:
         u, v = v, u
     return SvdFactors(u=u, sigma=sigma, v=v, sweeps=sweep + 1)

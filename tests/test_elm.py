@@ -18,7 +18,7 @@ from elmbench import (
     solve_output_weights,
     train,
 )
-from elmbench.errors import DimensionMismatch, InvalidLabel, LinAlgError
+from elmbench.errors import DimensionMismatch, InvalidLabel, LinAlgError, RankDeficient
 
 ALL_SOLVERS = list(SolverKind)
 
@@ -225,6 +225,27 @@ def test_qr_routes_solve_without_explicit_inverse(kind, monkeypatch):
     leverage = 1.0 - np.einsum("ij,ji->i", h, inner)
     vals = hat_diagnostic(h, 0.1, solver=kind)
     assert np.linalg.norm(vals - leverage) <= 1e-8 * np.linalg.norm(leverage)
+
+
+def test_hh_qr_route_never_forms_q(monkeypatch):
+    def no_q(*args):
+        raise AssertionError("the hh-qr route formed an orthogonal factor")
+
+    monkeypatch.setattr("elmbench.linalg._apply_reflectors", no_q)
+    rng = np.random.default_rng(29)
+    h = rng.uniform(-1.0, 1.0, (30, 6))
+    t = rng.uniform(-1.0, 1.0, 30)
+    for lam in (0.0, 0.1):
+        oracle = np.linalg.solve(h.T @ h + lam * np.eye(6), h.T @ t)
+        w = solve_output_weights(h, t, SolverKind.HH_QR, ridge_lambda=lam)
+        assert np.linalg.norm(w - oracle) <= 1e-8 * np.linalg.norm(oracle), lam
+    inner = np.linalg.solve(h.T @ h + 0.1 * np.eye(6), h.T)
+    leverage = 1.0 - np.einsum("ij,ji->i", h, inner)
+    vals = hat_diagnostic(h, 0.1, SolverKind.HH_QR)
+    assert np.linalg.norm(vals - leverage) <= 1e-8 * np.linalg.norm(leverage)
+    h[:, 4] = h[:, 1]
+    with pytest.raises(RankDeficient, match="column 4 "):
+        solve_output_weights(h, t, SolverKind.HH_QR)
 
 
 @pytest.mark.parametrize("kind", QR_SOLVERS)

@@ -244,6 +244,19 @@ def _reflector_loop_apply(reflectors, n, top):
     return out
 
 
+def _reflector_loop_apply_t(reflectors, b):
+    """Reference: q.T @ b by one reflector at a time, first to last."""
+    out = b.copy()
+    for j, v in enumerate(reflectors):
+        out[j:] -= 2.0 * np.multiply.outer(v, v @ out[j:])
+    return out
+
+
+def _reflectors_of(blocks):
+    """The flat reflector list of compact-WY blocks: column i of v below i zeros."""
+    return [v[i:, i] for _, v, _ in blocks for i in range(v.shape[1])]
+
+
 @pytest.mark.parametrize("cols", [1, linalg._NB - 1, linalg._NB + 1, 2 * linalg._NB + 1])
 def test_blocked_householder_matches_reflector_loop(cols):
     rng = np.random.default_rng(41)
@@ -251,7 +264,8 @@ def test_blocked_householder_matches_reflector_loop(cols):
     a[:, cols // 2] = 0.0  # a zero (identity) reflector inside a block
     n = a.shape[0]
     blocked, looped = a.copy(), a.copy()
-    refl = linalg._householder_reduce(blocked)
+    blocks = linalg._householder_reduce(blocked)
+    refl = _reflectors_of(blocks)
     ref_refl = _reflector_loop_reduce(looped)
     # The blocked update reorders the sums, so agreement is to round-off.
     tol = 100 * n * np.finfo(float).eps
@@ -259,9 +273,15 @@ def test_blocked_householder_matches_reflector_loop(cols):
         assert [j for j, v in enumerate(reflectors) if not v.any()] == [cols // 2]
     assert fro(np.triu(blocked[:cols]) - np.triu(looped[:cols])) <= tol * fro(a)
     for top in (np.eye(cols), rng.standard_normal((cols, cols))):
-        got = linalg._apply_reflectors(refl, n, top)
+        got = linalg._apply_reflectors(blocks, n, top)
         want = _reflector_loop_apply(refl, n, top)
         assert fro(got - want) <= tol * fro(top)
+    # q.T applied in place, block by block, to a vector and to a matrix.
+    for b in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+        got = b.copy()
+        linalg._apply_qt(blocks, got)
+        want = _reflector_loop_apply_t(refl, b)
+        assert fro(got - want) <= tol * fro(b)
 
 
 def _rank_four_with_zero_column():
@@ -278,10 +298,10 @@ def _rank_four_with_zero_column():
 def test_pivoted_reduce_picks_the_largest_remaining_column(a, rank):
     m = a.shape[0]
     work = a.copy()
-    reflectors, perm = linalg._pivoted_reduce(work)
+    blocks, perm = linalg._pivoted_reduce(work)
     r = np.triu(work)
     assert sorted(perm.tolist()) == list(range(m))
-    q = linalg._apply_reflectors(reflectors, m, np.eye(m))
+    q = linalg._apply_reflectors(blocks, m, np.eye(m))
     assert fro(a[:, perm] - q @ r) <= 1e-12 * fro(a)
     # Businger-Golub: each pivot is at least the norm of every later column
     # on and below its row, up to round-off in the scale of a.
