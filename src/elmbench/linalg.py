@@ -691,14 +691,25 @@ def svd(a) -> SvdFactors:
     The columns of r2.T are closer to orthogonal than those of r, and more
     so with the pivoting, so fewer sweeps remain. They are then rotated
     pairwise until mutually orthogonal, each round rotating a round-robin
-    set of disjoint pairs at once: r2.T w == y diag(sigma). The column
-    norms become the singular values (sorted descending). The normalized
-    columns y are mapped back through qp's and then q's reflectors to give
-    u; the accumulated rotations w are mapped through q2's reflectors and
-    their rows put back in the order of a's columns to give v. Columns
-    whose singular value underflows sort last; they are completed to an
-    orthonormal basis from the same reflector kernel, so u always has
-    orthonormal columns.
+    set of disjoint pairs at once, to r2.T w == y diag(sigma). Each round
+    rotates the m columns of r2.T only: the rotations w are not
+    accumulated, but recovered after the sweeps by one triangular solve,
+    w == r2.T^-1 y diag(sigma), since r2.T is lower triangular (the "V by a
+    triangular solve" of Drmac & Veselic). The column norms become the
+    singular values (sorted descending). The normalized columns y are
+    mapped back through qp's and then q's reflectors to give u; w is mapped
+    through q2's reflectors and its rows put back in the order of a's
+    columns to give v. Columns whose singular value underflows sort last;
+    they are completed to an orthonormal basis from the same reflector
+    kernel, so u always has orthonormal columns.
+
+    An exactly rank-deficient a needs no second path. The pivoting gives
+    |rp[j, j]| >= ||rp[j:, k]|| for k > j, so a zero pivot leaves every
+    later row of rp zero, and those columns of rp.T, and so of r2, stay
+    exactly zero through the LQ step. The zero diagonal entries of r2 thus
+    trail, r2 == diag(r2_11, 0) with r2_11 nonsingular, and Jacobi never
+    rotates a zero column, so w == diag(w_11, I). The solve runs on the
+    r2_11 block only.
     """
     a = as_matrix(a, "a")
     wide = a.shape[0] < a.shape[1]
@@ -708,30 +719,28 @@ def svd(a) -> SvdFactors:
     r = np.triu(a[:m])
     pivot_blocks, perm = _pivoted_reduce(r)
     # r now holds rp. The LQ step reduces rp.T, so the columns of r2.T that
-    # Jacobi rotates come out as the rows of r2.
+    # Jacobi rotates come out as the rows of r2, the upper triangle of rt.
     rt = np.ascontiguousarray(np.triu(r).T)
     blocks2 = _householder_reduce(rt)
-    # Row i holds column i of r2.T followed by column i of w, so one gather
-    # fetches everything a round rotates. Each round's pairs are interleaved
-    # (p0, q0, p1, q1, ...) so a pair is one 2 x 2m slab of the gather; the
-    # round reads the slabs for its cosine test, then hands the same gather
-    # to _rotate_pairs.
-    rows = np.zeros((m, 2 * m))
-    rows[:, :m] = np.triu(rt)
-    rows[:, m:] = np.eye(m)
+    # Row i holds column i of r2.T, so one gather fetches everything a round
+    # rotates; the rotations themselves are not accumulated. Each round's
+    # pairs are interleaved (p0, q0, p1, q1, ...) so a pair is one 2 x m slab
+    # of the gather; the round reads the slabs for its cosine test, then
+    # hands the same gather to _rotate_pairs.
+    rows = np.triu(rt)
     rounds = [np.column_stack((p, q)).ravel() for p, q in _round_robin(m)]
     tol = DEFLATE_RTOL
     for sweep in range(SVD_MAX_SWEEPS):
         # Squared column norms are refreshed once per sweep and then tracked
         # through the exact rotation update.
-        norms2 = np.einsum("ij,ij->i", rows[:, :m], rows[:, :m])
+        norms2 = np.einsum("ij,ij->i", rows, rows)
         rotated = False
         for pq in rounds:
             half = pq.size // 2
-            pair = rows[pq].reshape(half, 2, 2 * m)
+            pair = rows[pq].reshape(half, 2, m)
             n2 = norms2[pq].reshape(half, 2)
             npp, nqq = n2[:, 0], n2[:, 1]
-            g = np.einsum("ij,ij->i", pair[:, 0, :m], pair[:, 1, :m])
+            g = np.einsum("ij,ij->i", pair[:, 0], pair[:, 1])
             # Columns with underflowed norms are numerically zero and cannot
             # be rotated against anything; the rest rotate only when their
             # cosine exceeds the threshold.
@@ -751,14 +760,23 @@ def svd(a) -> SvdFactors:
             break
     else:
         raise NoConvergence(f"columns not orthogonal after {SVD_MAX_SWEEPS} sweeps")
-    sigma_all = np.sqrt(np.einsum("ij,ij->i", rows[:, :m], rows[:, :m]))
+    sigma_all = np.sqrt(np.einsum("ij,ij->i", rows, rows))
     order = np.argsort(sigma_all)[::-1]
     sigma = sigma_all[order]
+    # w[:, order] from r2.T w == y, solved on the leading k x k block of r2.T,
+    # whose diagonal is nonzero. Past it r2 is exactly zero (see the
+    # docstring), so those columns were never rotated and their rows of w
+    # are identity rows.
+    k = int(np.count_nonzero(np.diag(rt)))
+    w = np.empty((m, m))
+    w[:k] = _substitute(np.ascontiguousarray(rt[:k, :k].T),
+                        np.ascontiguousarray(rows[order, :k].T), lower=True)
+    w[k:] = np.eye(m)[k:, order]
     v = np.empty((m, m))
-    v[perm] = _apply_reflectors(blocks2, m, rows[order, m:].T)
+    v[perm] = _apply_reflectors(blocks2, m, w)
     u_r = np.zeros((m, m))
     live = int(np.count_nonzero(sigma > sigma[0] * np.finfo(float).eps))
-    u_r[:, :live] = rows[order[:live], :m].T / sigma[:live]
+    u_r[:, :live] = rows[order[:live]].T / sigma[:live]
     if live < m:
         # The trailing columns of the reflector product that triangularizes
         # the live block span its orthogonal complement.

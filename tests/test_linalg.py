@@ -664,6 +664,53 @@ def test_svd_sweeps_on_hidden_and_ridge_matrices():
     assert svd(h.T @ h + 0.1 * np.eye(50)).sweeps <= 7
 
 
+def _sigmoid_hidden(rows, width, seed):
+    x = np.random.default_rng(seed).uniform(0.0, 1.0, (rows, 64))
+    cfg = ElmConfig(hidden_neurons=width, rng_seed=seed)
+    weights, biases = init_random_layer(cfg, 64)
+    return hidden_output(x, weights, biases, cfg.activation)
+
+
+@pytest.mark.parametrize("matrix", ["hidden", "ridge-gram"])
+def test_svd_invariants_at_400x200(matrix):
+    # Wider than the property sweep: v comes from a 200 x 200 triangular
+    # solve after nine sweeps.
+    h = _sigmoid_hidden(400, 200, 21)
+    a = h if matrix == "hidden" else h.T @ h + 1e-3 * np.eye(200)
+    f = svd(a)
+    assert fro(f.v.T @ f.v - np.eye(200)) <= 1e-12
+    assert fro(a - f.u @ np.diag(f.sigma) @ f.v.T) <= 1e-13 * fro(a)
+
+
+def _with_zero_columns(*cols):
+    a = np.random.default_rng(530).standard_normal((20, 7))
+    a[:, list(cols)] = 0.0
+    return a
+
+
+EXACTLY_RANK_DEFICIENT = {
+    # The pivoted reduction moves the zero column from first to last.
+    "first-column-zero": _with_zero_columns(0),
+    "two-zero-columns": _with_zero_columns(1, 4),
+    "single-nonzero-column": _with_zero_columns(0, 1, 2, 4, 5, 6),
+    "all-zero": np.zeros((20, 7)),
+}
+
+
+@pytest.mark.parametrize("case", EXACTLY_RANK_DEFICIENT)
+def test_svd_exact_rank_deficiency(case):
+    # r2 has exactly zero trailing rows here, so v is solved on its leading
+    # block only and completed by identity rows.
+    a = EXACTLY_RANK_DEFICIENT[case]
+    f = svd(a)
+    null = f.sigma == 0.0
+    assert np.count_nonzero(null) == 7 - np.count_nonzero(a.any(axis=0))
+    assert fro(f.v.T @ f.v - np.eye(7)) <= 1e-13
+    assert fro(f.u.T @ f.u - np.eye(7)) <= 1e-10
+    assert np.all(a @ f.v[:, null] == 0.0)
+    assert fro(a - f.u @ np.diag(f.sigma) @ f.v.T) <= 1e-14 * max(fro(a), 1.0)
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 100])
 def test_svd_round_robin_meets_every_pair_once(m):
     rounds = linalg._round_robin(m)
