@@ -480,24 +480,6 @@ def hessenberg_reduce(a) -> SimilarityFactors:
     return SimilarityFactors(q=q, t=t)
 
 
-def _rotate_pairs(rows: np.ndarray, pq: np.ndarray, pair: np.ndarray,
-                  c: np.ndarray, s: np.ndarray) -> None:
-    """Rotate disjoint pairs of rows in place, all by one batched 2 x 2 product.
-
-    pq interleaves the pairs' row indices (p0, q0, p1, q1, ...) and pair is
-    rows[pq] reshaped to (pairs, 2, width); the caller gathers it, so it can
-    read the pairs first. Pair k's rows p and q become c[k] p - s[k] q and
-    s[k] p + c[k] q. Both Schur's QL layers and the SVD's Jacobi rounds
-    rotate through here.
-    """
-    rot = np.empty((c.size, 2, 2))
-    rot[:, 0, 0] = c
-    rot[:, 0, 1] = -s
-    rot[:, 1, 0] = s
-    rot[:, 1, 1] = c
-    rows[pq] = (rot @ pair).reshape(pq.size, -1)
-
-
 def _tridiag_eigen(d: np.ndarray, e: np.ndarray, zt: np.ndarray,
                    max_iter: int) -> tuple[np.ndarray, int]:
     """Shifted QL iteration on a tridiagonal (d, e) with rotations folded into zt.
@@ -511,12 +493,17 @@ def _tridiag_eigen(d: np.ndarray, e: np.ndarray, zt: np.ndarray,
     - record: the scalar QL loop runs on Python floats, which are faster
       here than numpy's, and records each rotation of rows i and i + 1 as
       (layer, i, c, s) in four flat lists instead of applying it. The
-      rotation goes one layer past the last layer that touched row i or
-      row i + 1, so the rotations of a layer act on disjoint row pairs and
-      every row meets its rotations in recorded order;
-    - group: one stable argsort by layer makes each layer's row pairs,
-      cosines and sines a slice of three arrays, in recorded order;
-    - apply: each layer rotates its row pairs of zt at once (_rotate_pairs).
+      rotation goes to the first layer k past every layer that touched row
+      i or row i + 1 with k + i even. Layers only move later, so every row
+      meets its rotations in recorded order; all pairs of a layer start on
+      rows of one parity, so they are disjoint, consecutive pairs of one
+      slab of zt;
+    - blocks: one (slots, 2, 2) array holds every layer's rotations, slab
+      by slab, with the identity on each pair of a slab that its layer
+      does not turn;
+    - apply: each layer rotates its slab in place, as a strided view of
+      zt, by one batched 2 x 2 product. No rows are gathered or scattered,
+      and an identity block changes no bit.
 
     Rotations of one layer commute, so zt ends as the recorded order leaves
     it. This is the wavefront order of Van Zee, van de Geijn & Quintana-Orti,
@@ -576,6 +563,7 @@ def _tridiag_eigen(d: np.ndarray, e: np.ndarray, zt: np.ndarray,
                 k, k1 = depth[i], depth[i + 1]
                 if k1 > k:
                     k = k1
+                k += (k + i) & 1
                 depth[i] = depth[i + 1] = k + 1
                 add_layer(k)
                 add_row(i)
@@ -586,17 +574,30 @@ def _tridiag_eigen(d: np.ndarray, e: np.ndarray, zt: np.ndarray,
                 e[l] = g
                 e[m] = 0.0
     layer = np.array(layer_of, dtype=np.intp)
-    order = np.argsort(layer, kind="stable")
-    i = np.array(row_of, dtype=np.intp)[order]
-    pq = np.column_stack((i, i + 1)).ravel()
-    c = np.array(cos_of)[order]
-    s = np.array(sin_of)[order]
-    start = 0
-    for end in np.cumsum(np.bincount(layer)).tolist():
-        rows = pq[2 * start:2 * end]
-        _rotate_pairs(zt, rows, zt[rows].reshape(end - start, 2, -1),
-                      c[start:end], s[start:end])
-        start = end
+    row = np.array(row_of, dtype=np.intp)
+    lo = np.full(max(depth), n)  # depth[i] is one past row i's last layer
+    hi = np.full(max(depth), -1)
+    np.minimum.at(lo, layer, row)
+    np.maximum.at(hi, layer, row)
+    # Layer k owns the slab zt[lo[k]:hi[k] + 2], as (hi[k] - lo[k]) / 2 + 1
+    # consecutive row pairs; a layer the parity rule left empty owns the
+    # empty slab zt[n:n].
+    pairs = np.where(hi < lo, 0, (hi - lo) // 2 + 1)
+    start = np.cumsum(pairs) - pairs
+    slots = int(pairs.sum())
+    slot = start[layer] + (row - lo[layer]) // 2
+    # A pair its layer does not turn keeps c = 1, s = 0: the identity.
+    c = np.ones(slots)
+    s = np.zeros(slots)
+    c[slot] = cos_of
+    s[slot] = sin_of
+    rot = np.empty((slots, 2, 2))
+    rot[:, 0, 0] = rot[:, 1, 1] = c
+    rot[:, 0, 1] = -s
+    rot[:, 1, 0] = s
+    for first, j0, j1 in zip(lo.tolist(), start.tolist(), (start + pairs).tolist()):
+        blk = zt[first:first + 2 * (j1 - j0)].reshape(j1 - j0, 2, n)
+        blk[...] = rot[j0:j1] @ blk
     return np.array(d), total
 
 
@@ -726,10 +727,11 @@ def svd(a) -> SvdFactors:
     # rotates; the rotations themselves are not accumulated. Each round's
     # pairs are interleaved (p0, q0, p1, q1, ...) so a pair is one 2 x m slab
     # of the gather; the round reads the slabs for its cosine test, then
-    # hands the same gather to _rotate_pairs.
+    # rotates the same gather by one batched 2 x 2 product and scatters it.
     rows = np.triu(rt)
     rounds = [np.column_stack((p, q)).ravel() for p, q in _round_robin(m)]
     tol = DEFLATE_RTOL
+    signs = np.array([-1.0, 1.0])
     for sweep in range(SVD_MAX_SWEEPS):
         # Squared column norms are refreshed once per sweep and then tracked
         # through the exact rotation update.
@@ -745,7 +747,7 @@ def svd(a) -> SvdFactors:
             # be rotated against anything; the rest rotate only when their
             # cosine exceeds the threshold.
             live = (np.minimum(npp, nqq) > 0.0) & (np.abs(g) > tol * np.sqrt(npp * nqq))
-            if not live.any():
+            if not np.count_nonzero(live):
                 continue
             rotated = True
             tau = (nqq - npp) / (2.0 * np.where(live, g, 1.0))
@@ -753,8 +755,14 @@ def svd(a) -> SvdFactors:
             t = 1.0 / (at + np.hypot(1.0, at))
             t = np.copysign(t * live, tau)  # identity rotation below threshold
             c = 1.0 / np.hypot(1.0, t)
-            _rotate_pairs(rows, pq, pair, c, c * t)
-            n2 += (t * g)[:, None] * [-1.0, 1.0]
+            s = c * t
+            # Pair k's rows p and q become c p - s q and s p + c q.
+            rot = np.empty((half, 2, 2))
+            rot[:, 0, 0] = rot[:, 1, 1] = c
+            rot[:, 0, 1] = -s
+            rot[:, 1, 0] = s
+            rows[pq] = (rot @ pair).reshape(pq.size, m)
+            n2 += (t * g)[:, None] * signs
             norms2[pq] = np.maximum(n2, 0.0).ravel()
         if not rotated:
             break

@@ -205,7 +205,8 @@ def test_ridge_matches_dense_oracle(kind):
     assert np.linalg.norm(w - oracle) <= 1e-8 * np.linalg.norm(oracle)
 
 
-def test_svd_route_agrees_with_hh_qr_at_benchmark_shape():
+@pytest.mark.parametrize("kind", [SolverKind.SVD, SolverKind.SCHUR])
+def test_route_agrees_with_hh_qr_at_benchmark_shape(kind):
     rng = np.random.default_rng(31)
     x = rng.uniform(0.0, 1.0, (792, 64))
     cfg = ElmConfig(hidden_neurons=100, rng_seed=31)
@@ -214,10 +215,10 @@ def test_svd_route_agrees_with_hh_qr_at_benchmark_shape():
     t = (rng.uniform(size=792) < 0.1).astype(float)
     for lam in (0.0, 0.1):
         w_ref = solve_output_weights(h, t, SolverKind.HH_QR, lam)
-        w = solve_output_weights(h, t, SolverKind.SVD, lam)
+        w = solve_output_weights(h, t, kind, lam)
         assert np.linalg.norm(w - w_ref) <= 1e-9 * np.linalg.norm(w_ref), lam
     ref = hat_diagnostic(h, 0.1, SolverKind.HH_QR)
-    assert np.abs(hat_diagnostic(h, 0.1, SolverKind.SVD) - ref).max() <= 1e-10
+    assert np.abs(hat_diagnostic(h, 0.1, kind) - ref).max() <= 1e-10
 
 
 QR_SOLVERS = [SolverKind.MGS_QR, SolverKind.HH_QR]

@@ -520,6 +520,18 @@ def _wavefront_cases():
     g = np.logspace(0, -5, 25)  # cond(a) about 1e10
     b = rng.standard_normal((25, 25))
     h = 1.0 / (1.0 + np.exp(-rng.uniform(-1.0, 1.0, (300, 120))))
+    # Block-diagonal inputs tridiagonalize with exact zeros at the block
+    # edges, odd and even, so QL chains start on untouched rows of both
+    # parities and some wavefront layers stay empty.
+    split = {}
+    for sizes in ((5, 4), (4, 5), (3, 6, 2)):
+        a = np.zeros((sum(sizes), sum(sizes)))
+        edge = 0
+        for k in sizes:
+            y = rng.standard_normal((k + 2, k))
+            a[edge:edge + k, edge:edge + k] = y.T @ y
+            edge += k
+        split["blocks-" + "+".join(map(str, sizes))] = a
     return {
         "psd-40": x.T @ x,
         "identity-plus-rank-one": np.eye(30) + np.outer(u, u),
@@ -527,6 +539,7 @@ def _wavefront_cases():
         "2x2": np.array([[2.0, 1.0], [1.0, 3.0]]),
         "graded": g[:, None] * (b @ b.T + 25.0 * np.eye(25)) * g[None, :],
         "sigmoid-gram-120": h.T @ h,
+        **split,
     }
 
 
