@@ -1,10 +1,11 @@
 """Single-hidden-layer network trained by direct least-squares solves.
 
 The hidden layer is fixed at random; the output weights come from one linear
-solve, routed through any of the six factorizations in ``linalg``. Routes that
-square the system solve the m x m normal equations; the QR and SVD routes
-factor the hidden-output matrix itself unless a ridge term forces them onto
-the (augmented) normal matrix as well.
+solve: a route factors its matrix by one of the six factorizations in
+``linalg`` and calls the factors' ``solve`` on the right-hand side. Routes
+that square the system solve the m x m normal equations; the QR and SVD
+routes factor the hidden-output matrix itself unless a ridge term forces them
+onto the (augmented) normal matrix as well.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatch, InvalidLabel, SingularMatrix, RankDeficient
+from .errors import DimensionMismatch, InvalidLabel
 from .linalg import SolverKind, as_matrix, as_vector
 
 
@@ -50,8 +51,9 @@ class ElmConfig:
     ridge_lambda: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.hidden_neurons < 1:
-            raise ValueError("hidden_neurons must be >= 1")
+        n = self.hidden_neurons
+        if not isinstance(n, numbers.Integral) or n < 1:
+            raise ValueError(f"hidden_neurons must be >= 1 and integral, got {n!r}")
         _check_solve_args(self.solver, self.ridge_lambda)
 
 
@@ -147,8 +149,8 @@ def solve_output_weights(h, targets, solver: SolverKind,
         raise DimensionMismatch(
             f"need at least as many samples as hidden neurons, got {h.shape}")
     if ridge_lambda == 0.0 and solver in _FACTOR_H:
-        return _solve(solver, h, t)
-    return _solve(solver, _normal_matrix(h, ridge_lambda), h.T @ t)
+        return _FACTOR[solver](h).solve(t)
+    return _FACTOR[solver](_normal_matrix(h, ridge_lambda)).solve(h.T @ t)
 
 
 def _check_solve_args(solver, ridge_lambda) -> None:
@@ -171,55 +173,20 @@ def _normal_matrix(h: np.ndarray, lam: float) -> np.ndarray:
 # The routes that factor h itself at ridge_lambda = 0.
 _FACTOR_H = (SolverKind.SVD, SolverKind.MGS_QR, SolverKind.HH_QR)
 
-# Bound at import: the traced benchmark run (bench/tracing.py) wraps the public
-# linalg functions after this, so it does not see this call and instead
-# factors the same matrix again by a direct call; each QR is counted once. The
-# hh-qr route calls the private linalg._householder_factor, which is not
-# wrapped either; the traced run's direct call for it is the public
-# householder_qr, which also forms the q that the route never forms.
-_mgs_qr = linalg.mgs_qr
-
-
-def _solve(kind: SolverKind, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a @ x = b (least squares for tall a) through route kind.
-
-    b is a vector or a matrix of right-hand-side columns. The LU, Hessenberg
-    and Schur routes need a square symmetric a, the (ridge) normal matrix.
-    """
-    if kind is SolverKind.SVD:
-        fac = linalg.svd(a)
-        if fac.sigma[0] == 0.0 or fac.sigma[-1] < linalg.PIVOT_RTOL * fac.sigma[0]:
-            raise RankDeficient("singular values collapse below tolerance")
-        return fac.v @ ((fac.u.T @ b) / _by_row(fac.sigma, b))
-    if kind is SolverKind.LU:
-        fac = linalg.lu_decompose(a)
-        return linalg.backward_substitute(
-            fac.u, linalg.forward_substitute(fac.l, b[fac.perm]))
-    if kind is SolverKind.MGS_QR:
-        fac = _mgs_qr(a)
-        return linalg.backward_substitute(fac.r, fac.q.T @ b)
-    if kind is SolverKind.HH_QR:
-        # q.T b from the reflector blocks; r keeps the reflectors' signs,
-        # which flip rows of r and of q.T b alike and so leave w unchanged.
-        blocks, r = linalg._householder_factor(a)
-        qtb = b.copy()
-        linalg._apply_qt(blocks, qtb)
-        return linalg.backward_substitute(r, qtb[:r.shape[0]])
-    if kind is SolverKind.SCHUR:
-        fac = linalg.schur_decompose(a)
-        eigs = np.diag(fac.t)
-        if np.abs(eigs).min() < linalg.PIVOT_RTOL * max(np.abs(eigs).max(), 1e-300):
-            raise SingularMatrix("eigenvalue of the normal matrix is below tolerance")
-        return fac.q @ ((fac.q.T @ b) / _by_row(eigs, b))
-    if kind is SolverKind.HESSENBERG:
-        fac = linalg.hessenberg_reduce(a)
-        return fac.q @ linalg.tridiagonal_solve(fac.t, fac.q.T @ b)
-    raise ValueError(f"unknown solver {kind!r}")
-
-
-def _by_row(d: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """d shaped to scale the rows of b, a vector or a matrix of columns."""
-    return d if b.ndim == 1 else d[:, None]
+# Each route's factorization. The lambdas look linalg up at call time, so the
+# traced benchmark run (bench/tracing.py), which wraps the public linalg
+# functions after import, sees those calls. It sees neither QR factorization,
+# as mgs_qr is bound here and _householder_factor is private; it factors their
+# matrix again by a direct call to mgs_qr or householder_qr (which also forms
+# the q that the hh-qr route never forms), so each QR is counted once.
+_FACTOR = {
+    SolverKind.SVD: lambda a: linalg.svd(a),
+    SolverKind.LU: lambda a: linalg.lu_decompose(a),
+    SolverKind.MGS_QR: linalg.mgs_qr,
+    SolverKind.HH_QR: linalg._householder_factor,
+    SolverKind.HESSENBERG: lambda a: linalg.hessenberg_reduce(a),
+    SolverKind.SCHUR: lambda a: linalg.schur_decompose(a),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +248,6 @@ def hat_diagnostic(h, ridge_lambda: float,
         raise ValueError("ridge_lambda must be positive")
     h = as_matrix(h, "h")
     # (m, n) columns of (h.T h + lam I)^-1 h.T
-    inner = _solve(solver, _normal_matrix(h, ridge_lambda), h.T)
+    inner = _FACTOR[solver](_normal_matrix(h, ridge_lambda)).solve(h.T)
     return 1.0 - np.einsum("ij,ji->i", h, inner)
 

@@ -7,6 +7,7 @@ one training-cost span, ``TrainResult.train_s`` (hidden output plus solve).
 from __future__ import annotations
 
 import dataclasses
+import numbers
 import statistics
 import time
 
@@ -32,8 +33,8 @@ def evaluate_dataset(dataset: data_io.Dataset, solvers: list[SolverKind],
     hidden output matrix within a fold. Returns the report dict (JSON
     schema); a route's ``LinAlgError`` is recorded in its row only.
     """
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
+    if not isinstance(repeats, numbers.Integral) or repeats < 1:
+        raise ValueError(f"repeats must be >= 1 and integral, got {repeats!r}")
     cfg = elm.ElmConfig(hidden_neurons=hidden, rng_seed=seed,
                         ridge_lambda=ridge_lambda)
     plan = metrics.session_kfold(*data_io.grid_shape(dataset.layout),

@@ -54,6 +54,11 @@ class LuFactors:
     u: np.ndarray
     perm: np.ndarray
 
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """x with a @ x == b, b a vector or a matrix of columns."""
+        b = _as_rhs(b, "b", self.perm.size)
+        return backward_substitute(self.u, forward_substitute(self.l, b[self.perm]))
+
 
 @dataclass(frozen=True)
 class QrFactors:
@@ -61,6 +66,10 @@ class QrFactors:
 
     q: np.ndarray
     r: np.ndarray
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """Least-squares x for a @ x ~= b, b a vector or a matrix of columns."""
+        return backward_substitute(self.r, self.q.T @ _as_rhs(b, "b", self.q.shape[0]))
 
 
 @dataclass(frozen=True)
@@ -75,6 +84,11 @@ class SimilarityFactors:
     t: np.ndarray
     iterations: int = 0
 
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """x with a @ x == b, b a vector or a matrix of columns."""
+        b = _as_rhs(b, "b", self.q.shape[0])
+        return self.q @ tridiagonal_solve(self.t, self.q.T @ b)
+
 
 @dataclass(frozen=True)
 class SvdFactors:
@@ -88,6 +102,18 @@ class SvdFactors:
     sigma: np.ndarray
     v: np.ndarray
     sweeps: int = 0
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """Least-squares x for a @ x ~= b; RankDeficient below PIVOT_RTOL * sigma[0]."""
+        b, s = _as_rhs(b, "b", self.u.shape[0]), self.sigma
+        if s[0] == 0.0 or s[-1] < PIVOT_RTOL * s[0]:
+            raise RankDeficient("singular values collapse below tolerance")
+        return self.v @ ((self.u.T @ b) / _by_row(s, b))
+
+
+def _by_row(d: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """d shaped to scale the rows of b, a vector or a matrix of columns."""
+    return d if b.ndim == 1 else d[:, None]
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -160,20 +186,19 @@ def lu_decompose(a) -> LuFactors:
     return LuFactors(l=l, u=u, perm=perm)
 
 
-def _as_rhs(b, name: str) -> np.ndarray:
-    """Validate a right-hand side: a vector, or a matrix of columns."""
-    return as_matrix(b, name) if np.ndim(b) == 2 else as_vector(b, name)
+def _as_rhs(b, name: str, rows: int) -> np.ndarray:
+    """A validated copy of b, a vector or a matrix of columns, with rows rows."""
+    b = as_matrix(b, name) if np.ndim(b) == 2 else as_vector(b, name)
+    if b.shape[0] != rows:
+        raise DimensionMismatch(f"{name} has {b.shape[0]} rows, expected {rows}")
+    return b
 
 
 def _square_system(a, b, a_name: str, b_name: str) -> tuple[np.ndarray, np.ndarray]:
     """Validate a square matrix a and a right-hand side b with as many rows."""
     a = as_matrix(a, a_name)
-    b = _as_rhs(b, b_name)
     _require_square(a, a_name)
-    n = a.shape[0]
-    if b.shape[0] != n:
-        raise DimensionMismatch(f"{b_name} has {b.shape[0]} rows, expected {n}")
-    return a, b
+    return a, _as_rhs(b, b_name, a.shape[0])
 
 
 def _substitute(tri: np.ndarray, rhs: np.ndarray, lower: bool) -> np.ndarray:
@@ -369,7 +394,21 @@ def _apply_reflectors(blocks: list, n: int, top: np.ndarray) -> np.ndarray:
     return out
 
 
-def _householder_factor(a) -> tuple[list, np.ndarray]:
+@dataclass(frozen=True)
+class _HouseholderFactors:
+    """a == q[:, :m] @ r, q kept as compact-WY blocks, r with the reflectors' signs."""
+
+    blocks: list
+    r: np.ndarray
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """Least-squares x for a @ x ~= b, applying q.T block by block."""
+        qtb = _as_rhs(b, "b", self.blocks[0][1].shape[0])  # block 0 spans all rows
+        _apply_qt(self.blocks, qtb)
+        return backward_substitute(self.r, qtb[:self.r.shape[0]])
+
+
+def _householder_factor(a) -> _HouseholderFactors:
     """Householder reduction of a (rows >= cols) to its blocks and r.
 
     Returns the compact-WY blocks of q, as _householder_reduce gives them,
@@ -391,7 +430,7 @@ def _householder_factor(a) -> tuple[list, np.ndarray]:
     collapsed = np.flatnonzero((pivots < PIVOT_RTOL * col_scale) | (pivots == 0.0))
     if collapsed.size:
         raise RankDeficient(f"column {collapsed[0]} collapsed during reflection")
-    return blocks, r
+    return _HouseholderFactors(blocks=blocks, r=r)
 
 
 def householder_qr(a) -> QrFactors:
@@ -400,12 +439,13 @@ def householder_qr(a) -> QrFactors:
     Reduces a by _householder_factor, then forms q from its compact-WY
     blocks. Sign convention: the diagonal of r is made non-negative by
     flipping the sign of matching q columns, so r is comparable across QR
-    methods. The hh-qr solver route uses _householder_factor directly and
-    applies q.T to its right-hand side block by block, never forming q.
+    methods. The hh-qr route solves by _householder_factor's factors,
+    which apply q.T block by block and never form q.
     """
-    blocks, r = _householder_factor(a)
+    fac = _householder_factor(a)
     n, m = np.shape(a)
-    q = _apply_reflectors(blocks, n, np.eye(m))
+    q = _apply_reflectors(fac.blocks, n, np.eye(m))
+    r = fac.r
     flip = np.diag(r) < 0.0
     r[flip, :] *= -1.0
     q[:, flip] *= -1.0
@@ -601,6 +641,18 @@ def _tridiag_eigen(d: np.ndarray, e: np.ndarray, zt: np.ndarray,
     return np.array(d), total
 
 
+@dataclass(frozen=True)
+class _SchurFactors(SimilarityFactors):
+    """SimilarityFactors whose t is diagonal: the eigenvalues, descending."""
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """x with a @ x == b; SingularMatrix below PIVOT_RTOL * max(|t|, 1e-300)."""
+        b, eigs = _as_rhs(b, "b", self.q.shape[0]), np.diag(self.t)
+        if np.abs(eigs).min() < PIVOT_RTOL * max(np.abs(eigs).max(), 1e-300):
+            raise SingularMatrix("eigenvalue of the normal matrix is below tolerance")
+        return self.q @ ((self.q.T @ b) / _by_row(eigs, b))
+
+
 def schur_decompose(a) -> SimilarityFactors:
     """Real Schur form of a symmetric (PSD in practice) matrix.
 
@@ -615,8 +667,8 @@ def schur_decompose(a) -> SimilarityFactors:
     d, iterations = _tridiag_eigen(np.diag(base.t), np.diag(base.t, -1), zt,
                                    EIGEN_ITER_FACTOR * n)
     order = np.argsort(d)[::-1]
-    return SimilarityFactors(q=np.ascontiguousarray(zt[order].T),
-                             t=np.diag(d[order]), iterations=iterations)
+    return _SchurFactors(q=np.ascontiguousarray(zt[order].T),
+                         t=np.diag(d[order]), iterations=iterations)
 
 
 def tridiagonal_solve(t, b) -> np.ndarray:

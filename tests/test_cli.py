@@ -197,6 +197,19 @@ def test_evaluate_dataset_rejects_zero_repeats_before_solving(tmp_path,
                          seed=11, repeats=0)
 
 
+def test_evaluate_dataset_rejects_non_integral_repeats_before_solving(
+        tmp_path, monkeypatch):
+    ds = load_csv(_tiny_dataset(tmp_path))
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the repeats check")
+
+    monkeypatch.setattr("elmbench.elm.solve_output_weights", no_solve)
+    with pytest.raises(ValueError, match="^repeats must be"):
+        evaluate_dataset(ds, [SolverKind.LU], hidden=6, ridge_lambda=0.0,
+                         seed=11, repeats=1.5)
+
+
 @pytest.mark.parametrize("lam", [0.0, 0.1])
 def test_evaluate_equals_train_predict_per_fold(tmp_path, lam):
     from elmbench import elm, metrics

@@ -14,6 +14,7 @@ from elmbench import (
     hat_diagnostic,
     hidden_output,
     init_random_layer,
+    linalg,
     predict,
     solve_output_weights,
     train,
@@ -264,6 +265,33 @@ def test_hh_qr_route_never_forms_q(monkeypatch):
         solve_output_weights(h, t, SolverKind.HH_QR)
 
 
+@pytest.mark.parametrize("kind, name", [
+    (SolverKind.SVD, "svd"),
+    (SolverKind.LU, "lu_decompose"),
+    (SolverKind.HESSENBERG, "hessenberg_reduce"),
+    (SolverKind.SCHUR, "schur_decompose"),
+])
+def test_routes_look_up_their_factorization_at_call_time(kind, name, monkeypatch):
+    # The traced benchmark run wraps these module attributes after import; a
+    # route bound to the function at import would bypass the wrapper.
+    real = getattr(linalg, name)
+    shapes = []
+
+    def counting(a):
+        shapes.append(np.shape(a))
+        return real(a)
+
+    monkeypatch.setattr(linalg, name, counting)
+    rng = np.random.default_rng(41)
+    h = rng.uniform(-1.0, 1.0, (30, 6))
+    t = rng.uniform(-1.0, 1.0, 30)
+    solve_output_weights(h, t, kind)
+    solve_output_weights(h, t, kind, ridge_lambda=0.1)
+    hat_diagnostic(h, 0.1, kind)
+    gram_at_zero = kind in (SolverKind.LU, SolverKind.HESSENBERG, SolverKind.SCHUR)
+    assert shapes == [(6, 6) if gram_at_zero else (30, 6), (6, 6), (6, 6)]
+
+
 @pytest.mark.parametrize("kind", QR_SOLVERS)
 def test_qr_routes_scale_invariant_rank_check(kind):
     # Full rank, one column tiny: the factorization's per-column check passes
@@ -420,6 +448,18 @@ def test_config_validation():
         ElmConfig(hidden_neurons=0)
     with pytest.raises(ValueError):
         ElmConfig(hidden_neurons=1, ridge_lambda=-0.5)
+
+
+@pytest.mark.parametrize("width", [2.5, 2.0, "3", None])
+def test_config_rejects_non_integral_width(width):
+    # init_random_layer would otherwise fail later, inside train
+    with pytest.raises(ValueError, match="^hidden_neurons must be"):
+        ElmConfig(hidden_neurons=width)
+
+
+def test_config_accepts_numpy_integer_width():
+    cfg = ElmConfig(hidden_neurons=np.int64(3))
+    assert init_random_layer(cfg, 2)[0].shape == (2, 3)
 
 
 # ---------------------------------------------------------------------------

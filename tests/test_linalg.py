@@ -757,6 +757,83 @@ def test_constructors_reject_nonfinite():
 
 
 # ---------------------------------------------------------------------------
+# Factor solve: one factorization, any right-hand side
+# ---------------------------------------------------------------------------
+
+def _factor_cases():
+    rng = np.random.default_rng(47)
+    tall = rng.standard_normal((15, 6))
+    sym = tall.T @ tall + np.eye(6)
+    return {
+        "lu_decompose": (lu_decompose, sym),
+        "mgs_qr": (mgs_qr, tall),
+        "householder_qr": (householder_qr, tall),
+        "_householder_factor": (linalg._householder_factor, tall),
+        "hessenberg_reduce": (hessenberg_reduce, sym),
+        "schur_decompose": (schur_decompose, sym),
+        "svd": (svd, tall),
+    }
+
+
+_FACTOR_CASES = _factor_cases()
+
+
+@pytest.mark.parametrize("case", list(_FACTOR_CASES))
+def test_factor_solve_takes_a_vector_or_columns(case):
+    factorize, a = _FACTOR_CASES[case]
+    b = np.random.default_rng(53).standard_normal((a.shape[0], 4))
+    before = b.copy()
+    fac = factorize(a)
+    x = fac.solve(b)
+    assert x.shape == (a.shape[1], 4)
+    for j in range(b.shape[1]):
+        xj = fac.solve(b[:, j])
+        assert xj.shape == (a.shape[1],)
+        assert fro(xj - x[:, j]) <= 1e-13 * fro(x[:, j])
+    assert np.array_equal(b, before)
+    # a is well conditioned, so the least-squares solution is accurate.
+    oracle = np.linalg.lstsq(a, b, rcond=None)[0]
+    assert fro(x - oracle) <= 1e-12 * fro(oracle)
+
+
+@pytest.mark.parametrize("case", list(_FACTOR_CASES))
+def test_factor_solve_validates_the_right_hand_side(case):
+    factorize, a = _FACTOR_CASES[case]
+    fac = factorize(a)
+    rows = a.shape[0]
+    b = np.arange(1.0, rows + 1.0)
+    assert np.array_equal(fac.solve(b.tolist()), fac.solve(b))
+    for short_or_long in (b[:-1], np.append(b, 1.0), np.ones((rows + 1, 2))):
+        with pytest.raises(DimensionMismatch, match="^b has"):
+            fac.solve(short_or_long)
+    b[1] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        fac.solve(b)
+
+
+def test_householder_qr_solve_agrees_with_its_blocked_factors():
+    rng = np.random.default_rng(59)
+    a = rng.standard_normal((90, 2 * linalg._NB + 3))  # three WY blocks
+    for b in (rng.standard_normal(90), rng.standard_normal((90, 3))):
+        want = householder_qr(a).solve(b)
+        got = linalg._householder_factor(a).solve(b)
+        assert fro(got - want) <= 1e-12 * fro(want)
+
+
+def test_svd_solve_rejects_rank_deficient_factors():
+    fac = svd(np.ones((10, 3)))
+    with pytest.raises(RankDeficient):
+        fac.solve(np.ones(10))
+
+
+def test_schur_solve_rejects_underflowed_eigenvalues():
+    # The 1e-300 floor keeps the relative test from underflowing to 0 < 0.
+    fac = schur_decompose(1e-320 * np.eye(3))
+    with pytest.raises(SingularMatrix):
+        fac.solve(np.zeros(3))
+
+
+# ---------------------------------------------------------------------------
 # Caller data
 # ---------------------------------------------------------------------------
 
