@@ -1,8 +1,8 @@
 """Single-hidden-layer network trained by direct least-squares solves.
 
 The hidden layer is fixed at random; the output weights come from one linear
-solve: a route factors its matrix by one of the six factorizations in
-``linalg`` and calls the factors' ``solve`` on the right-hand side. Routes
+solve: a route factors its matrix by one of the six public factorizations
+in ``linalg`` and calls the factors' ``solve`` on the right-hand side. Routes
 that square the system solve the m x m normal equations; the QR and SVD
 routes factor the hidden-output matrix itself unless a ridge term forces them
 onto the (augmented) normal matrix as well.
@@ -54,6 +54,11 @@ class ElmConfig:
         n = self.hidden_neurons
         if not isinstance(n, numbers.Integral) or n < 1:
             raise ValueError(f"hidden_neurons must be >= 1 and integral, got {n!r}")
+        if not isinstance(self.activation, ActivationKind):
+            raise ValueError(f"activation must be an ActivationKind, got {self.activation!r}")
+        seed = self.rng_seed
+        if not isinstance(seed, numbers.Integral) or seed < 0:
+            raise ValueError(f"rng_seed must be >= 0 and integral, got {seed!r}")
         _check_solve_args(self.solver, self.ridge_lambda)
 
 
@@ -175,15 +180,14 @@ _FACTOR_H = (SolverKind.SVD, SolverKind.MGS_QR, SolverKind.HH_QR)
 
 # Each route's factorization. The lambdas look linalg up at call time, so the
 # traced benchmark run (bench/tracing.py), which wraps the public linalg
-# functions after import, sees those calls. It sees neither QR factorization,
-# as mgs_qr is bound here and _householder_factor is private; it factors their
-# matrix again by a direct call to mgs_qr or householder_qr (which also forms
-# the q that the hh-qr route never forms), so each QR is counted once.
+# functions after import, sees those calls. The two QR factorizations are
+# bound here, so it does not see them; it factors their matrix again by a
+# direct call, so each QR is counted once.
 _FACTOR = {
     SolverKind.SVD: lambda a: linalg.svd(a),
     SolverKind.LU: lambda a: linalg.lu_decompose(a),
     SolverKind.MGS_QR: linalg.mgs_qr,
-    SolverKind.HH_QR: linalg._householder_factor,
+    SolverKind.HH_QR: linalg.householder_qr,
     SolverKind.HESSENBERG: lambda a: linalg.hessenberg_reduce(a),
     SolverKind.SCHUR: lambda a: linalg.schur_decompose(a),
 }

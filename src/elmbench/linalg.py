@@ -9,6 +9,7 @@ so that each solver route stays self-contained and auditable.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -378,12 +379,13 @@ def _apply_reflectors(blocks: list, n: int, top: np.ndarray) -> np.ndarray:
     """Return q @ [top; 0], q the n-row product of the compact-WY blocks.
 
     Every orthogonal factor that is formed at all is formed here: q of
-    householder_qr and hessenberg_reduce from top = identity, the SVD's u
-    from its rotated triangular factor. The blocks are applied last to
-    first, block j0 to rows j0: as out -= v (t (v.T out)), reusing the v and
-    t that the reduction built. When top is upper triangular, as the
-    identity is, columns < j0 are still zero in rows j0: when block j0
-    comes, so it cannot change them and is applied to columns j0: only.
+    hessenberg_reduce from top = identity, q of householder_qr from its
+    diagonal of signs, the SVD's u from its rotated triangular factor. The
+    blocks are applied last to first, block j0 to rows j0: as
+    out -= v (t (v.T out)), reusing the v and t that the reduction built.
+    When top is upper triangular, as a diagonal is, columns < j0 are still
+    zero in rows j0: when block j0 comes, so it cannot change them and is
+    applied to columns j0: only.
     """
     out = np.zeros((n, top.shape[1]))
     out[:top.shape[0]] = top
@@ -396,25 +398,40 @@ def _apply_reflectors(blocks: list, n: int, top: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _HouseholderFactors:
-    """a == q[:, :m] @ r, q kept as compact-WY blocks, r with the reflectors' signs."""
+    """a == q[:, :m] @ r, q kept as compact-WY blocks and formed only when read.
+
+    r has a non-negative diagonal: its row j is the reduced row j times
+    signs[j], the sign that reflector j left on the diagonal.
+    """
 
     blocks: list
     r: np.ndarray
+    signs: np.ndarray
+
+    @property
+    def q(self) -> np.ndarray:
+        """The thin orthonormal factor, its column j times signs[j]."""
+        return _apply_reflectors(self.blocks, self.blocks[0][1].shape[0],
+                                 np.diag(self.signs))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Least-squares x for a @ x ~= b, applying q.T block by block."""
         qtb = _as_rhs(b, "b", self.blocks[0][1].shape[0])  # block 0 spans all rows
         _apply_qt(self.blocks, qtb)
-        return backward_substitute(self.r, qtb[:self.r.shape[0]])
+        m = self.r.shape[0]
+        qtb[:m] *= _by_row(self.signs, qtb)
+        return backward_substitute(self.r, qtb[:m])
 
 
-def _householder_factor(a) -> _HouseholderFactors:
-    """Householder reduction of a (rows >= cols) to its blocks and r.
+def householder_qr(a) -> _HouseholderFactors:
+    """Thin QR by blocked (compact-WY) Householder reflections, a with rows >= cols.
 
     Returns the compact-WY blocks of q, as _householder_reduce gives them,
-    and the m x m upper-triangular r with a == q[:, :m] @ r; q is not
-    formed, and the diagonal of r keeps the reflectors' signs. Raises
-    RankDeficient, naming the first column whose pivot falls below
+    and the m x m upper-triangular r with a == q[:, :m] @ r. Sign
+    convention: the diagonal of r is made non-negative by flipping the sign
+    of matching q columns, so r is comparable across QR methods. q is formed
+    from the blocks only when read; solve applies q.T block by block.
+    Raises RankDeficient, naming the first column whose pivot falls below
     PIVOT_RTOL relative to that column's norm in a.
     """
     a = as_matrix(a, "a")
@@ -430,26 +447,8 @@ def _householder_factor(a) -> _HouseholderFactors:
     collapsed = np.flatnonzero((pivots < PIVOT_RTOL * col_scale) | (pivots == 0.0))
     if collapsed.size:
         raise RankDeficient(f"column {collapsed[0]} collapsed during reflection")
-    return _HouseholderFactors(blocks=blocks, r=r)
-
-
-def householder_qr(a) -> QrFactors:
-    """Thin QR assembled from successive Householder reflectors.
-
-    Reduces a by _householder_factor, then forms q from its compact-WY
-    blocks. Sign convention: the diagonal of r is made non-negative by
-    flipping the sign of matching q columns, so r is comparable across QR
-    methods. The hh-qr route solves by _householder_factor's factors,
-    which apply q.T block by block and never form q.
-    """
-    fac = _householder_factor(a)
-    n, m = np.shape(a)
-    q = _apply_reflectors(fac.blocks, n, np.eye(m))
-    r = fac.r
-    flip = np.diag(r) < 0.0
-    r[flip, :] *= -1.0
-    q[:, flip] *= -1.0
-    return QrFactors(q=q, r=r)
+    signs = np.where(np.diag(r) < 0.0, -1.0, 1.0)
+    return _HouseholderFactors(blocks=blocks, r=r * signs[:, None], signs=signs)
 
 
 def triangular_inverse(r) -> np.ndarray:
@@ -860,8 +859,8 @@ def flop_estimate(method: SolverKind, m: int, n: int) -> int:
     convention has the row dimension dominating (m >= n), and the formulas
     are applied verbatim for any positive pair.
     """
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be positive")
+    if not all(isinstance(k, numbers.Integral) and k >= 1 for k in (m, n)):
+        raise ValueError(f"m and n must be positive integers, got {m!r}, {n!r}")
     m = int(m)
     n = int(n)
     if method is SolverKind.HH_QR:

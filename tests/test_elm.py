@@ -260,6 +260,11 @@ def test_hh_qr_route_never_forms_q(monkeypatch):
     leverage = 1.0 - np.einsum("ij,ji->i", h, inner)
     vals = hat_diagnostic(h, 0.1, SolverKind.HH_QR)
     assert np.linalg.norm(vals - leverage) <= 1e-8 * np.linalg.norm(leverage)
+    # The factorization itself forms no q either; only reading q does.
+    fac = linalg.householder_qr(h)
+    assert np.array_equal(fac.solve(t), solve_output_weights(h, t, SolverKind.HH_QR))
+    with pytest.raises(AssertionError, match="formed an orthogonal factor"):
+        fac.q
     h[:, 4] = h[:, 1]
     with pytest.raises(RankDeficient, match="column 4 "):
         solve_output_weights(h, t, SolverKind.HH_QR)
@@ -458,8 +463,24 @@ def test_config_rejects_non_integral_width(width):
 
 
 def test_config_accepts_numpy_integer_width():
-    cfg = ElmConfig(hidden_neurons=np.int64(3))
+    cfg = ElmConfig(hidden_neurons=np.int64(3), rng_seed=np.int64(4))
     assert init_random_layer(cfg, 2)[0].shape == (2, 3)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("activation", "tanh"),
+    ("activation", "hyperbolic-tangent"),
+    ("activation", None),
+    ("rng_seed", 1.5),
+    ("rng_seed", -1),
+    ("rng_seed", "7"),
+    ("rng_seed", None),
+])
+def test_config_rejects_bad_activation_or_seed(field, value):
+    # train would otherwise fail late: the activation after the normalizer
+    # and hidden-layer work, the seed inside numpy's SeedSequence
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        ElmConfig(hidden_neurons=3, **{field: value})
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Unit tests for the factorizations, substitutions, and the flop model, plus
 guards on caller data, memory order and the ban on numpy.linalg."""
 
+import ast
 import math
 import re
 from fractions import Fraction
@@ -768,7 +769,6 @@ def _factor_cases():
         "lu_decompose": (lu_decompose, sym),
         "mgs_qr": (mgs_qr, tall),
         "householder_qr": (householder_qr, tall),
-        "_householder_factor": (linalg._householder_factor, tall),
         "hessenberg_reduce": (hessenberg_reduce, sym),
         "schur_decompose": (schur_decompose, sym),
         "svd": (svd, tall),
@@ -812,11 +812,15 @@ def test_factor_solve_validates_the_right_hand_side(case):
 
 
 def test_householder_qr_solve_agrees_with_its_blocked_factors():
+    # solve applies q.T block by block; the reference forms q from the
+    # same blocks and applies it as one product.
     rng = np.random.default_rng(59)
     a = rng.standard_normal((90, 2 * linalg._NB + 3))  # three WY blocks
+    f = householder_qr(a)
+    assert len(f.blocks) == 3 and (np.diag(f.r) > 0.0).all()
     for b in (rng.standard_normal(90), rng.standard_normal((90, 3))):
-        want = householder_qr(a).solve(b)
-        got = linalg._householder_factor(a).solve(b)
+        want = backward_substitute(f.r, f.q.T @ b)
+        got = f.solve(b)
         assert fro(got - want) <= 1e-12 * fro(want)
 
 
@@ -892,8 +896,17 @@ def test_factorization_ignores_memory_order(factorize):
         a = a.T @ a + np.eye(5)
     c_fac, f_fac = factorize(a), factorize(np.asfortranarray(a))
     for field in vars(c_fac):
-        c_val, f_val = (np.asarray(getattr(fac, field)) for fac in (c_fac, f_fac))
-        assert c_val.tobytes() == f_val.tobytes()
+        c_vals, f_vals = (_stored_arrays(getattr(fac, field)) for fac in (c_fac, f_fac))
+        assert len(c_vals) == len(f_vals), field
+        for c_val, f_val in zip(c_vals, f_vals):
+            assert c_val.shape == f_val.shape and c_val.tobytes() == f_val.tobytes(), field
+
+
+def _stored_arrays(value):
+    """Every array a factor field stores; householder_qr's blocks are (j0, v, t) tuples."""
+    if isinstance(value, (list, tuple)):
+        return [arr for item in value for arr in _stored_arrays(item)]
+    return [np.asarray(value)]
 
 
 def test_package_makes_no_numpy_linalg_call():
@@ -904,6 +917,33 @@ def test_package_makes_no_numpy_linalg_call():
     for path in sources:
         for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
             assert not banned.search(line), f"{path.name}:{lineno}: {line.strip()}"
+
+
+def test_package_reads_no_private_name_of_another_module():
+    # A module uses what another exports: the routes reach linalg through
+    # its public factorizations only.
+    package = Path(elmbench.__file__).parent
+    modules = {path.stem for path in package.glob("*.py")}
+
+    def private(name):
+        return name.startswith("_") and not name.startswith("__")
+
+    reads = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        siblings = set()  # names bound to sibling modules, as `from . import linalg`
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "elmbench"):
+                reads += [f"{path.name}:{node.lineno}: {alias.name}"
+                          for alias in node.names if private(alias.name)]
+                siblings |= {alias.asname or alias.name for alias in node.names
+                             if node.module in (None, "elmbench") and alias.name in modules}
+        reads += [f"{path.name}:{node.lineno}: {node.value.id}.{node.attr}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in siblings and private(node.attr)]
+    assert not reads
 
 
 # ---------------------------------------------------------------------------
@@ -929,10 +969,20 @@ def test_flop_svd_reference_point():
 
 def test_flop_lu_small():
     assert flop_estimate(SolverKind.LU, 5, 3) == 18
+    assert flop_estimate(SolverKind.LU, np.int64(5), np.int32(3)) == 18
 
 
 def test_flop_hessenberg_floor():
     assert flop_estimate(SolverKind.HESSENBERG, 20, 10) == 3333
+
+
+@pytest.mark.parametrize("m, n", [(10, 2.9), (1.5, 3), ("5", 3), (5, None),
+                                  (0, 3), (5, -1)])
+def test_flop_rejects_sizes_that_are_not_positive_integers(m, n):
+    # A float would be floored to a wrong count; a string would reach a
+    # comparison and raise TypeError.
+    with pytest.raises(ValueError, match="^m and n must be positive"):
+        flop_estimate(SolverKind.LU, m, n)
 
 
 @pytest.mark.parametrize("kind", list(SolverKind))
