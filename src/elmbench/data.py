@@ -10,6 +10,7 @@ session-based fold planner relies on.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -67,8 +68,11 @@ def synth_epochs(seed: int, n_sessions: int = 12, runs_per_session: int = 6,
     """
     if not (math.isfinite(snr) and snr > 0.0):
         raise ValueError(f"snr must be positive and finite, got {snr}")
-    if min(n_sessions, runs_per_session, n_images, channels, samples) < 1:
-        raise ValueError("grid dimensions must be positive")
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be >= 0 and integral, got {seed!r}")
+    if not all(isinstance(k, numbers.Integral) and k >= 1
+               for k in (n_sessions, runs_per_session, n_images, channels, samples)):
+        raise ValueError("grid dimensions must be positive integers")
     rng = np.random.default_rng(seed)
     target_image = rng.integers(0, n_images, size=n_sessions)
     trials = n_sessions * runs_per_session * n_images

@@ -110,8 +110,8 @@ def apply_normalizer(nrm: Normalizer, features) -> np.ndarray:
 
 def init_random_layer(cfg: ElmConfig, n_features: int) -> tuple[np.ndarray, np.ndarray]:
     """Draw input weights and biases i.i.d. uniform on [-1, 1] from the seed."""
-    if n_features < 1:
-        raise ValueError("n_features must be >= 1")
+    if not isinstance(n_features, numbers.Integral) or n_features < 1:
+        raise ValueError(f"n_features must be >= 1 and integral, got {n_features!r}")
     rng = np.random.default_rng(cfg.rng_seed)
     weights = rng.uniform(-1.0, 1.0, size=(n_features, cfg.hidden_neurons))
     biases = rng.uniform(-1.0, 1.0, size=cfg.hidden_neurons)

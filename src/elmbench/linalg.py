@@ -23,8 +23,9 @@ from .errors import (
     SingularMatrix,
 )
 
-# Relative thresholds: pivots/diagonals below PIVOT_RTOL * scale are treated
-# as zero; the SVD rotates a column pair while its cosine exceeds DEFLATE_RTOL.
+# Thresholds: a pivot or diagonal below _zero_below(scale), PIVOT_RTOL * scale
+# floored at LAPACK's safe minimum, is zero; the SVD rotates a column pair
+# while its cosine exceeds DEFLATE_RTOL.
 PIVOT_RTOL = 1e-12
 DEFLATE_RTOL = 1e-12
 SYMMETRY_RTOL = 1e-10
@@ -105,9 +106,9 @@ class SvdFactors:
     sweeps: int = 0
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Least-squares x for a @ x ~= b; RankDeficient below PIVOT_RTOL * sigma[0]."""
+        """Least-squares x for a @ x ~= b; RankDeficient below _zero_below(sigma[0])."""
         b, s = _as_rhs(b, "b", self.u.shape[0]), self.sigma
-        if s[0] == 0.0 or s[-1] < PIVOT_RTOL * s[0]:
+        if s[-1] < _zero_below(s[0]):
             raise RankDeficient("singular values collapse below tolerance")
         return self.v @ ((self.u.T @ b) / _by_row(s, b))
 
@@ -145,6 +146,23 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
     return w
 
 
+def _zero_below(scale):
+    """PIVOT_RTOL * scale, elementwise, floored so a subnormal pivot counts as zero."""
+    return np.maximum(PIVOT_RTOL * scale, np.finfo(float).tiny)
+
+
+def _unit_scale(work: np.ndarray) -> float:
+    """Divide work in place by the power of two at or below max |work|; return it.
+
+    Sums of squares of the scaled entries neither overflow nor underflow
+    (Blue, ACM TOMS 4(1), 1978), and a power of two rounds nothing: the scale
+    multiplied back into sigma, r or t gives the unscaled factorization's bits.
+    """
+    scale = math.ldexp(0.5, math.frexp(np.abs(work).max())[1])
+    work /= scale
+    return scale
+
+
 def _require_square(a: np.ndarray, name: str) -> None:
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"{name} must be square, got {a.shape}")
@@ -166,16 +184,16 @@ def lu_decompose(a) -> LuFactors:
 
     Returns factors with unit lower-triangular l and upper-triangular u such
     that a[perm] == l @ u. Raises SingularMatrix when a pivot falls below
-    PIVOT_RTOL relative to the largest entry of a.
+    _zero_below the largest entry of a.
     """
     lu = as_matrix(a, "a")
     _require_square(lu, "a")
     n = lu.shape[0]
-    scale = np.abs(lu).max()
+    floor = _zero_below(np.abs(lu).max())
     perm = np.arange(n)
     for k in range(n):
         piv = k + int(np.argmax(np.abs(lu[k:, k])))
-        if abs(lu[piv, k]) < PIVOT_RTOL * scale or lu[piv, k] == 0.0:
+        if abs(lu[piv, k]) < floor:
             raise SingularMatrix(f"pivot {k} below tolerance")
         if piv != k:
             lu[[k, piv]] = lu[[piv, k]]
@@ -245,20 +263,21 @@ def mgs_qr(a) -> QrFactors:
     n, m = a.shape
     if n < m:
         raise DimensionMismatch(f"need rows >= cols, got {a.shape}")
-    col_scale = np.sqrt(np.sum(a * a, axis=0))
+    scale = _unit_scale(a)
+    floor = _zero_below(np.sqrt(np.sum(a * a, axis=0)) * scale)
     # The matrix is worked on transposed, so each column is a contiguous row.
     qt = np.ascontiguousarray(a.T)
     r = np.zeros((m, m))
     for j in range(m):
         v = qt[j]
         nrm = math.sqrt(v @ v)
-        if nrm < PIVOT_RTOL * col_scale[j] or nrm == 0.0:
+        if nrm * scale < floor[j]:
             raise RankDeficient(f"column {j} collapsed during orthogonalization")
         r[j, j] = nrm
         v /= nrm
         r[j, j + 1:] = qt[j + 1:] @ v
         qt[j + 1:] -= np.outer(r[j, j + 1:], v)
-    return QrFactors(q=np.ascontiguousarray(qt.T), r=r)
+    return QrFactors(q=np.ascontiguousarray(qt.T), r=r * scale)
 
 
 def _reflector(x: np.ndarray) -> np.ndarray:
@@ -432,19 +451,19 @@ def householder_qr(a) -> _HouseholderFactors:
     of matching q columns, so r is comparable across QR methods. q is formed
     from the blocks only when read; solve applies q.T block by block.
     Raises RankDeficient, naming the first column whose pivot falls below
-    PIVOT_RTOL relative to that column's norm in a.
+    _zero_below that column's norm in a.
     """
     a = as_matrix(a, "a")
     n, m = a.shape
     if n < m:
         raise DimensionMismatch(f"need rows >= cols, got {a.shape}")
-    col_scale = np.sqrt(np.sum(a * a, axis=0))
+    scale = _unit_scale(a)
+    floor = _zero_below(np.sqrt(np.sum(a * a, axis=0)) * scale)
     blocks = _householder_reduce(a)
-    r = np.triu(a[:m, :m])
+    r = np.triu(a[:m, :m]) * scale
     # |r[j, j]| is the norm column j had on and below the diagonal when it
     # was reflected.
-    pivots = np.abs(np.diag(r))
-    collapsed = np.flatnonzero((pivots < PIVOT_RTOL * col_scale) | (pivots == 0.0))
+    collapsed = np.flatnonzero(np.abs(np.diag(r)) < floor)
     if collapsed.size:
         raise RankDeficient(f"column {collapsed[0]} collapsed during reflection")
     signs = np.where(np.diag(r) < 0.0, -1.0, 1.0)
@@ -454,8 +473,8 @@ def householder_qr(a) -> _HouseholderFactors:
 def triangular_inverse(r) -> np.ndarray:
     """Invert an upper-triangular matrix column by column.
 
-    Raises SingularMatrix when a diagonal entry falls below PIVOT_RTOL
-    relative to the largest entry of r.
+    Raises SingularMatrix when a diagonal entry falls below _zero_below the
+    largest entry of r.
 
     No solver route calls it: the QR routes solve r by backward_substitute.
     It stays public because the traced benchmark run (bench/tracing.py)
@@ -464,8 +483,7 @@ def triangular_inverse(r) -> np.ndarray:
     """
     r = as_matrix(r, "r")
     _require_square(r, "r")
-    scale = np.abs(r).max()
-    if np.any(np.abs(np.diag(r)) < PIVOT_RTOL * scale) or np.any(np.diag(r) == 0.0):
+    if np.any(np.abs(np.diag(r)) < _zero_below(np.abs(r).max())):
         raise SingularMatrix("triangular matrix has a near-zero diagonal entry")
     return _substitute(r, np.eye(r.shape[0]), lower=False)
 
@@ -493,6 +511,7 @@ def hessenberg_reduce(a) -> SimilarityFactors:
     work = as_matrix(a, "a")
     _require_symmetric(work, "a")
     n = work.shape[0]
+    scale = _unit_scale(work)
     # Reflector k acts on rows k + 1:, so it is stored at index k + 1.
     reflectors = [np.zeros(n)]
     off = np.zeros(n - 1)
@@ -514,7 +533,7 @@ def hessenberg_reduce(a) -> SimilarityFactors:
     # The last sub-diagonal entry is final only once the last step is done.
     if n > 1:
         off[n - 2] = work[n - 1, n - 2]
-    t = np.diag(np.diag(work)) + np.diag(off, -1) + np.diag(off, 1)
+    t = (np.diag(np.diag(work)) + np.diag(off, -1) + np.diag(off, 1)) * scale
     q = _apply_reflectors(_wy_blocks(reflectors, n), n, np.eye(n))
     return SimilarityFactors(q=q, t=t)
 
@@ -645,9 +664,9 @@ class _SchurFactors(SimilarityFactors):
     """SimilarityFactors whose t is diagonal: the eigenvalues, descending."""
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """x with a @ x == b; SingularMatrix below PIVOT_RTOL * max(|t|, 1e-300)."""
+        """x with a @ x == b; SingularMatrix below _zero_below(max |t|)."""
         b, eigs = _as_rhs(b, "b", self.q.shape[0]), np.diag(self.t)
-        if np.abs(eigs).min() < PIVOT_RTOL * max(np.abs(eigs).max(), 1e-300):
+        if np.abs(eigs).min() < _zero_below(np.abs(eigs).max()):
             raise SingularMatrix("eigenvalue of the normal matrix is below tolerance")
         return self.q @ ((self.q.T @ b) / _by_row(eigs, b))
 
@@ -675,12 +694,12 @@ def tridiagonal_solve(t, b) -> np.ndarray:
 
     b may be a vector or a matrix of right-hand-side columns; only the three
     central diagonals of t are read, so the cost is O(n) per column. Raises
-    SingularMatrix when an elimination pivot is zero or below PIVOT_RTOL
-    relative to the largest entry of t.
+    SingularMatrix when an elimination pivot falls below _zero_below the
+    largest entry of t.
     """
     t, b = _square_system(t, b, "t", "b")
     n = t.shape[0]
-    scale = np.abs(t).max()
+    floor = _zero_below(np.abs(t).max())
     diag = np.diag(t).copy()
     lower = np.diag(t, -1)
     upper = np.diag(t, 1)
@@ -692,7 +711,7 @@ def tridiagonal_solve(t, b) -> np.ndarray:
             w = lower[i - 1] / diag[i - 1]
             diag[i] -= w * upper[i - 1]
             rhs[i] -= w * rhs[i - 1]
-        if abs(diag[i]) < PIVOT_RTOL * scale or diag[i] == 0.0:
+        if abs(diag[i]) < floor:
             raise SingularMatrix(f"vanishing pivot at row {i}")
     x = np.zeros_like(rhs)
     x[n - 1] = rhs[n - 1] / diag[n - 1]
@@ -767,6 +786,7 @@ def svd(a) -> SvdFactors:
     wide = a.shape[0] < a.shape[1]
     a = np.ascontiguousarray(a.T if wide else a)
     n, m = a.shape
+    scale = _unit_scale(a)
     blocks = _householder_reduce(a)
     r = np.triu(a[:m])
     pivot_blocks, perm = _pivoted_reduce(r)
@@ -844,7 +864,7 @@ def svd(a) -> SvdFactors:
     u = _apply_reflectors(blocks, n, _apply_reflectors(pivot_blocks, m, u_r))
     if wide:
         u, v = v, u
-    return SvdFactors(u=u, sigma=sigma, v=v, sweeps=sweep + 1)
+    return SvdFactors(u=u, sigma=sigma * scale, v=v, sweeps=sweep + 1)
 
 
 # ---------------------------------------------------------------------------

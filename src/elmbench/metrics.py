@@ -8,6 +8,7 @@ baseline) well defined and pessimistic.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,8 +91,9 @@ def session_kfold(n_sessions: int = 12, runs_per_session: int = 6,
     ordering the CSV contract guarantees. When n_samples is given it is
     checked against the grid size.
     """
-    if min(n_sessions, runs_per_session, n_images) < 1:
-        raise ValueError("grid dimensions must be positive")
+    if not all(isinstance(k, numbers.Integral) and k >= 1
+               for k in (n_sessions, runs_per_session, n_images)):
+        raise ValueError("grid dimensions must be positive integers")
     total = n_sessions * runs_per_session * n_images
     if n_samples is not None and n_samples != total:
         raise LayoutMismatch(

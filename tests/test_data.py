@@ -106,6 +106,18 @@ def test_synth_rejects_nonfinite_snr(snr):
         synth_epochs(seed=1, snr=snr)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"seed": 1.5}, "^seed must be"),
+    ({"seed": -1}, "^seed must be"),
+    ({"seed": 0, "n_sessions": 2.5}, "^grid dimensions must be positive"),
+    ({"seed": 0, "samples": 4.0}, "^grid dimensions must be positive"),
+])
+def test_synth_rejects_sizes_that_are_not_integers(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        synth_epochs(**kwargs)
+    assert synth_epochs(np.int64(0), n_sessions=np.int64(2)).labels.size == 144
+
+
 def test_pipeline_shape():
     feats = grand_average(synth_epochs(seed=23))
     assert feats.shape == (864, 64)

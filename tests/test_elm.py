@@ -83,6 +83,14 @@ def test_layer_deterministic_per_seed():
     assert w1.shape == (4, 3) and b1.shape == (3,)
 
 
+@pytest.mark.parametrize("n_features", [2.5, 2.0, "2", 0])
+def test_layer_rejects_a_width_that_is_not_a_positive_integer(n_features):
+    cfg = ElmConfig(hidden_neurons=3)
+    with pytest.raises(ValueError, match="^n_features must be"):
+        init_random_layer(cfg, n_features)
+    assert init_random_layer(cfg, np.int64(2))[0].shape == (2, 3)
+
+
 def test_layer_range_and_mean():
     cfg = ElmConfig(hidden_neurons=100, rng_seed=1)
     w, b = init_random_layer(cfg, 100)
@@ -336,15 +344,35 @@ def test_solve_rank_deficient_raises(kind):
         solve_output_weights(h, t, kind)
 
 
+@pytest.mark.parametrize("kind", ALL_SOLVERS, ids=[k.value for k in ALL_SOLVERS])
 @pytest.mark.parametrize("solve", [
-    lambda h: solve_output_weights(h, np.ones(5), SolverKind.SVD, 1e-320),
-    lambda h: hat_diagnostic(h, 1e-320, SolverKind.SVD),
-    lambda h: hat_diagnostic(h, 1e-320, SolverKind.SCHUR),
-], ids=["solve-svd", "hat-svd", "hat-schur"])
-def test_underflowed_ridge_normal_matrix_raises(solve):
-    # lambda * I underflows, so the ridge normal matrix of a zero h is singular
+    lambda h, kind: solve_output_weights(h, np.ones(5), kind, 1e-320),
+    lambda h, kind: hat_diagnostic(h, 1e-320, kind),
+], ids=["solve", "hat"])
+def test_underflowed_ridge_normal_matrix_raises(solve, kind):
+    # lambda * I underflows to a subnormal, so the ridge normal matrix of a
+    # zero h is singular on every route
     with pytest.raises(LinAlgError):
-        solve(np.zeros((5, 3)))
+        solve(np.zeros((5, 3)), kind)
+
+
+@pytest.mark.parametrize("kind", ALL_SOLVERS)
+@pytest.mark.parametrize("exponent", [500, -500, -560])
+def test_routes_solve_or_raise_at_extreme_scales(kind, exponent):
+    # Sums of squares of entries near 2**500 overflow and near 2**-500
+    # underflow unless a route scales its working copy first. At 2**-560,
+    # h.T h underflows, so the routes that factor it must raise.
+    rng = np.random.default_rng(0)
+    h = rng.uniform(size=(40, 5))
+    t = rng.uniform(size=40)
+    w_ref = solve_output_weights(h, t, SolverKind.HH_QR)
+    if exponent == -560 and kind not in (SolverKind.SVD, SolverKind.MGS_QR,
+                                         SolverKind.HH_QR):
+        with pytest.raises(LinAlgError):
+            solve_output_weights(np.ldexp(h, exponent), t, kind)
+        return
+    w = np.ldexp(solve_output_weights(np.ldexp(h, exponent), t, kind), exponent)
+    assert np.linalg.norm(w - w_ref) <= 1e-12 * np.linalg.norm(w_ref)
 
 
 # ---------------------------------------------------------------------------

@@ -830,11 +830,22 @@ def test_svd_solve_rejects_rank_deficient_factors():
         fac.solve(np.ones(10))
 
 
-def test_schur_solve_rejects_underflowed_eigenvalues():
-    # The 1e-300 floor keeps the relative test from underflowing to 0 < 0.
-    fac = schur_decompose(1e-320 * np.eye(3))
-    with pytest.raises(SingularMatrix):
-        fac.solve(np.zeros(3))
+@pytest.mark.parametrize("solve", [
+    lambda a: lu_decompose(a).solve(np.ones(3)),
+    lambda a: mgs_qr(a).solve(np.ones(3)),
+    lambda a: householder_qr(a).solve(np.ones(3)),
+    lambda a: hessenberg_reduce(a).solve(np.ones(3)),
+    lambda a: schur_decompose(a).solve(np.ones(3)),
+    lambda a: svd(a).solve(np.ones(3)),
+    lambda a: tridiagonal_solve(a, np.ones(3)),
+    triangular_inverse,
+], ids=["lu_decompose", "mgs_qr", "householder_qr", "hessenberg_reduce",
+        "schur_decompose", "svd", "tridiagonal_solve", "triangular_inverse"])
+def test_subnormal_pivots_raise(solve):
+    # Dividing by a subnormal pivot overflows to inf, so a subnormal pivot
+    # counts as zero at any scale, even where it is the largest entry.
+    with pytest.raises((SingularMatrix, RankDeficient)):
+        solve(1e-320 * np.eye(3))
 
 
 # ---------------------------------------------------------------------------

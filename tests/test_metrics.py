@@ -142,6 +142,13 @@ def test_kfold_degenerate_leave_one_out():
     assert np.array_equal(plan.folds[1][0], [0])
 
 
+@pytest.mark.parametrize("grid", [(2.0, 2, 2), (2, 2.5, 2), (2, 2, "2"), (0, 2, 2)])
+def test_kfold_rejects_grids_that_are_not_positive_integers(grid):
+    with pytest.raises(ValueError, match="^grid dimensions must be positive"):
+        session_kfold(*grid)
+    assert len(session_kfold(np.int64(2), 2, 2).folds) == 2
+
+
 def test_kfold_partitions_exactly():
     rng = np.random.default_rng(83)
     for _ in range(10):
