@@ -155,7 +155,8 @@ def solve_output_weights(h, targets, solver: SolverKind,
             f"need at least as many samples as hidden neurons, got {h.shape}")
     if ridge_lambda == 0.0 and solver in _FACTOR_H:
         return _FACTOR[solver](h).solve(t)
-    return _FACTOR[solver](_normal_matrix(h, ridge_lambda)).solve(h.T @ t)
+    factors, s = _normal_factor(h, solver, ridge_lambda)
+    return factors.solve(h.T @ t / s)
 
 
 def _check_solve_args(solver, ridge_lambda) -> None:
@@ -168,11 +169,17 @@ def _check_solve_args(solver, ridge_lambda) -> None:
         raise ValueError("ridge_lambda must be >= 0")
 
 
-def _normal_matrix(h: np.ndarray, lam: float) -> np.ndarray:
-    gram = h.T @ h
-    if lam > 0.0:
-        gram = gram + lam * np.eye(h.shape[1])
-    return gram
+def _normal_factor(h: np.ndarray, solver: SolverKind, lam: float) -> tuple[object, float]:
+    """Divide h in place by s and factor h.T h + (lam / s**2) I; return the factors and s.
+
+    s is the power of two at or below max(max |h|, sqrt(lam)): it rounds
+    nothing, lam / s**2 < 4, and the scaled system's largest diagonal entry
+    is at least 1, so neither a huge nor a tiny h overflows or underflows it.
+    """
+    peak = max(np.abs(h).max(), math.sqrt(lam))
+    s = math.ldexp(0.5, math.frexp(peak)[1]) if peak > 0.0 else 1.0
+    h /= s
+    return _FACTOR[solver](h.T @ h + lam / s / s * np.eye(h.shape[1])), s
 
 
 # The routes that factor h itself at ridge_lambda = 0.
@@ -202,8 +209,10 @@ def train(features, targets, cfg: ElmConfig) -> TrainResult:
 
     ``train_s`` times the hidden output and the solve, nothing before them.
     """
-    x = as_matrix(features, "features")
     t = as_vector(targets, "targets")
+    nrm = fit_normalizer(features)
+    weights, biases = init_random_layer(cfg, nrm.min_vals.size)
+    x = apply_normalizer(nrm, features)
     if x.shape[0] != t.size:
         raise DimensionMismatch(
             f"{x.shape[0]} feature rows for {t.size} targets")
@@ -211,9 +220,6 @@ def train(features, targets, cfg: ElmConfig) -> TrainResult:
         raise DimensionMismatch("need at least 2 samples")
     if not np.all(np.isin(t, (0.0, 1.0))):
         raise InvalidLabel("targets must be encoded {0, 1}")
-    nrm = fit_normalizer(x)
-    weights, biases = init_random_layer(cfg, x.shape[1])
-    x = apply_normalizer(nrm, x)
     start = time.perf_counter()
     h = hidden_output(x, weights, biases, cfg.activation)
     w_out = solve_output_weights(h, t, cfg.solver, cfg.ridge_lambda)
@@ -225,12 +231,7 @@ def train(features, targets, cfg: ElmConfig) -> TrainResult:
 
 def predict(model: ElmModel, features) -> tuple[np.ndarray, np.ndarray]:
     """Scores and 0/1 labels (threshold 0.5) for new feature rows."""
-    x = as_matrix(features, "features")
-    if x.shape[1] != model.input_weights.shape[0]:
-        raise DimensionMismatch(
-            f"features have {x.shape[1]} columns, model expects "
-            f"{model.input_weights.shape[0]}")
-    h = hidden_output(apply_normalizer(model.normalizer, x),
+    h = hidden_output(apply_normalizer(model.normalizer, features),
                       model.input_weights, model.biases, model.activation)
     scores = h @ model.output_weights
     labels = (scores >= 0.5).astype(np.int64)
@@ -244,14 +245,13 @@ def hat_diagnostic(h, ridge_lambda: float,
     The inner inverse is applied through the requested decomposition route;
     ridge_lambda must be positive so the regularized normal matrix is
     invertible in exact arithmetic; a route that finds it numerically
-    singular (say, lambda * I underflows) raises a LinAlgError. Every entry
-    lies in (0, 1].
+    singular raises a LinAlgError. Every entry lies in (0, 1].
     """
     _check_solve_args(solver, ridge_lambda)
     if ridge_lambda <= 0.0:
         raise ValueError("ridge_lambda must be positive")
     h = as_matrix(h, "h")
-    # (m, n) columns of (h.T h + lam I)^-1 h.T
-    inner = _FACTOR[solver](_normal_matrix(h, ridge_lambda)).solve(h.T)
+    # (m, n) columns of (h.T h + lam I)^-1 h.T; the scale of h cancels
+    inner = _normal_factor(h, solver, ridge_lambda)[0].solve(h.T)
     return 1.0 - np.einsum("ij,ji->i", h, inner)
 

@@ -224,9 +224,10 @@ def _substitute(tri: np.ndarray, rhs: np.ndarray, lower: bool) -> np.ndarray:
     """Solve tri @ x = rhs reading only the lower or the upper triangle of tri."""
     n = tri.shape[0]
     x = np.zeros_like(rhs)
+    floor = _zero_below(0.0)  # zero or subnormal: judges structure, not size
     for i in range(n) if lower else range(n - 1, -1, -1):
-        if tri[i, i] == 0.0:
-            raise SingularMatrix(f"zero diagonal at row {i}")
+        if abs(tri[i, i]) < floor:
+            raise SingularMatrix(f"zero or subnormal diagonal at row {i}")
         done = slice(0, i) if lower else slice(i + 1, n)
         x[i] = (rhs[i] - tri[i, done] @ x[done]) / tri[i, i]
     return x
@@ -252,6 +253,15 @@ def backward_substitute(u, y) -> np.ndarray:
 # Thin QR: modified Gram-Schmidt and Householder reflections
 # ---------------------------------------------------------------------------
 
+def _tall_work(a) -> tuple[np.ndarray, float, np.ndarray]:
+    """Unit-scaled copy of a (rows >= cols), its scale, and _zero_below each column norm."""
+    a = as_matrix(a, "a")
+    if a.shape[0] < a.shape[1]:
+        raise DimensionMismatch(f"need rows >= cols, got {a.shape}")
+    scale = _unit_scale(a)
+    return a, scale, _zero_below(np.sqrt(np.sum(a * a, axis=0)) * scale)
+
+
 def mgs_qr(a) -> QrFactors:
     """Thin QR by the modified Gram-Schmidt process, right-looking.
 
@@ -259,12 +269,8 @@ def mgs_qr(a) -> QrFactors:
     so each column still gets its projections in order, each inner product
     taken with the partially reduced column. r has a non-negative diagonal.
     """
-    a = as_matrix(a, "a")
+    a, scale, floor = _tall_work(a)
     n, m = a.shape
-    if n < m:
-        raise DimensionMismatch(f"need rows >= cols, got {a.shape}")
-    scale = _unit_scale(a)
-    floor = _zero_below(np.sqrt(np.sum(a * a, axis=0)) * scale)
     # The matrix is worked on transposed, so each column is a contiguous row.
     qt = np.ascontiguousarray(a.T)
     r = np.zeros((m, m))
@@ -453,12 +459,8 @@ def householder_qr(a) -> _HouseholderFactors:
     Raises RankDeficient, naming the first column whose pivot falls below
     _zero_below that column's norm in a.
     """
-    a = as_matrix(a, "a")
+    a, scale, floor = _tall_work(a)
     n, m = a.shape
-    if n < m:
-        raise DimensionMismatch(f"need rows >= cols, got {a.shape}")
-    scale = _unit_scale(a)
-    floor = _zero_below(np.sqrt(np.sum(a * a, axis=0)) * scale)
     blocks = _householder_reduce(a)
     r = np.triu(a[:m, :m]) * scale
     # |r[j, j]| is the norm column j had on and below the diagonal when it
@@ -536,6 +538,15 @@ def hessenberg_reduce(a) -> SimilarityFactors:
     t = (np.diag(np.diag(work)) + np.diag(off, -1) + np.diag(off, 1)) * scale
     q = _apply_reflectors(_wy_blocks(reflectors, n), n, np.eye(n))
     return SimilarityFactors(q=q, t=t)
+
+
+def _rotations(c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Blocks [[c, -s], [s, c]] that turn each row pair p, q into c p - s q, s p + c q."""
+    rot = np.empty((c.size, 2, 2))
+    rot[:, 0, 0] = rot[:, 1, 1] = c
+    rot[:, 0, 1] = -s
+    rot[:, 1, 0] = s
+    return rot
 
 
 def _tridiag_eigen(d: np.ndarray, e: np.ndarray, zt: np.ndarray,
@@ -649,10 +660,7 @@ def _tridiag_eigen(d: np.ndarray, e: np.ndarray, zt: np.ndarray,
     s = np.zeros(slots)
     c[slot] = cos_of
     s[slot] = sin_of
-    rot = np.empty((slots, 2, 2))
-    rot[:, 0, 0] = rot[:, 1, 1] = c
-    rot[:, 0, 1] = -s
-    rot[:, 1, 0] = s
+    rot = _rotations(c, s)
     for first, j0, j1 in zip(lo.tolist(), start.tolist(), (start + pairs).tolist()):
         blk = zt[first:first + 2 * (j1 - j0)].reshape(j1 - j0, 2, n)
         blk[...] = rot[j0:j1] @ blk
@@ -826,13 +834,7 @@ def svd(a) -> SvdFactors:
             t = 1.0 / (at + np.hypot(1.0, at))
             t = np.copysign(t * live, tau)  # identity rotation below threshold
             c = 1.0 / np.hypot(1.0, t)
-            s = c * t
-            # Pair k's rows p and q become c p - s q and s p + c q.
-            rot = np.empty((half, 2, 2))
-            rot[:, 0, 0] = rot[:, 1, 1] = c
-            rot[:, 0, 1] = -s
-            rot[:, 1, 0] = s
-            rows[pq] = (rot @ pair).reshape(pq.size, m)
+            rows[pq] = (_rotations(c, c * t) @ pair).reshape(pq.size, m)
             n2 += (t * g)[:, None] * signs
             norms2[pq] = np.maximum(n2, 0.0).ravel()
         if not rotated:

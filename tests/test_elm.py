@@ -8,6 +8,7 @@ import pytest
 from elmbench import (
     ActivationKind,
     ElmConfig,
+    ElmModel,
     SolverKind,
     apply_normalizer,
     fit_normalizer,
@@ -345,34 +346,41 @@ def test_solve_rank_deficient_raises(kind):
 
 
 @pytest.mark.parametrize("kind", ALL_SOLVERS, ids=[k.value for k in ALL_SOLVERS])
-@pytest.mark.parametrize("solve", [
-    lambda h, kind: solve_output_weights(h, np.ones(5), kind, 1e-320),
-    lambda h, kind: hat_diagnostic(h, 1e-320, kind),
+@pytest.mark.parametrize("solve, exact", [
+    (lambda h, kind: solve_output_weights(h, np.ones(5), kind, 1e-320), 0.0),
+    (lambda h, kind: hat_diagnostic(h, 1e-320, kind), 1.0),
 ], ids=["solve", "hat"])
-def test_underflowed_ridge_normal_matrix_raises(solve, kind):
-    # lambda * I underflows to a subnormal, so the ridge normal matrix of a
-    # zero h is singular on every route
-    with pytest.raises(LinAlgError):
-        solve(np.zeros((5, 3)), kind)
+def test_underflowed_ridge_normal_matrix_raises(solve, exact, kind):
+    # lambda * I alone is subnormal, but the squared system is built scaled
+    # by a power of two that brings lambda / s**2 into [1, 4), so every route
+    # solves the ridge system of a zero h exactly: w == 0 and leverage == 1.
+    out = solve(np.zeros((5, 3)), kind)
+    assert out.size and np.all(out == exact)
 
 
 @pytest.mark.parametrize("kind", ALL_SOLVERS)
-@pytest.mark.parametrize("exponent", [500, -500, -560])
+@pytest.mark.parametrize("exponent", [500, 520, 1000, -500, -520, -560])
 def test_routes_solve_or_raise_at_extreme_scales(kind, exponent):
     # Sums of squares of entries near 2**500 overflow and near 2**-500
-    # underflow unless a route scales its working copy first. At 2**-560,
-    # h.T h underflows, so the routes that factor it must raise.
+    # underflow unless the working copy, or h before it is squared, is
+    # scaled first. The oracle solves the stacked system [h; sqrt(lam) I] in
+    # the coordinates of the unscaled h, where the ridge rows are
+    # sqrt(lam) * 2**-exponent. lam = 0.1 is tried at positive exponents
+    # only: at negative ones those rows are huge and the oracle overflows.
     rng = np.random.default_rng(0)
     h = rng.uniform(size=(40, 5))
     t = rng.uniform(size=40)
-    w_ref = solve_output_weights(h, t, SolverKind.HH_QR)
-    if exponent == -560 and kind not in (SolverKind.SVD, SolverKind.MGS_QR,
-                                         SolverKind.HH_QR):
-        with pytest.raises(LinAlgError):
-            solve_output_weights(np.ldexp(h, exponent), t, kind)
-        return
-    w = np.ldexp(solve_output_weights(np.ldexp(h, exponent), t, kind), exponent)
-    assert np.linalg.norm(w - w_ref) <= 1e-12 * np.linalg.norm(w_ref)
+    for lam in (0.0, 0.1) if exponent > 0 else (0.0,):
+        stacked = np.vstack([h, np.ldexp(np.sqrt(lam), -exponent) * np.eye(5)])
+        w_ref = np.linalg.lstsq(stacked, np.append(t, np.zeros(5)), rcond=None)[0]
+        w = np.ldexp(solve_output_weights(np.ldexp(h, exponent), t, kind, lam), exponent)
+        # Under ridge every route solves the squared system, whose condition
+        # number is cond(h)**2.
+        tol = 1e-12 * (np.linalg.cond(h) ** 2 if lam else 1.0)
+        assert np.linalg.norm(w - w_ref) <= tol * np.linalg.norm(w_ref)
+        if lam:
+            leverage = hat_diagnostic(np.ldexp(h, exponent), lam, kind)
+            assert np.all((leverage > 0.0) & (leverage <= 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +474,29 @@ def test_predict_separable_blobs():
     res = train(x, y, ElmConfig(hidden_neurons=20, rng_seed=7))
     _, labels = predict(res.model, x)
     assert (labels == y).mean() >= 0.99
+
+
+def test_predict_checks_widths_through_normalizer_and_hidden_output():
+    # predict leaves its width checks to apply_normalizer (against the
+    # normalizer) and hidden_output (against the input weights)
+    model = ElmModel(input_weights=np.ones((2, 4)), biases=np.zeros(4),
+                     output_weights=np.zeros(4), normalizer=fit_normalizer(np.eye(3)),
+                     activation=ActivationKind.IDENTITY)
+    for width in (2, 3):
+        with pytest.raises(DimensionMismatch):
+            predict(model, np.ones((5, width)))
+
+
+def test_train_and_predict_reject_nan_features():
+    x = np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]])
+    y = np.array([0.0, 1.0, 0.0])
+    bad = x.copy()
+    bad[1, 1] = np.nan
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        train(bad, y, ElmConfig(hidden_neurons=2))
+    model = train(x, y, ElmConfig(hidden_neurons=2)).model
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        predict(model, bad)
 
 
 def test_predict_rejects_wrong_width():

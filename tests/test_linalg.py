@@ -839,8 +839,11 @@ def test_svd_solve_rejects_rank_deficient_factors():
     lambda a: svd(a).solve(np.ones(3)),
     lambda a: tridiagonal_solve(a, np.ones(3)),
     triangular_inverse,
+    lambda a: forward_substitute(a, np.ones(3)),
+    lambda a: backward_substitute(a, np.ones(3)),
 ], ids=["lu_decompose", "mgs_qr", "householder_qr", "hessenberg_reduce",
-        "schur_decompose", "svd", "tridiagonal_solve", "triangular_inverse"])
+        "schur_decompose", "svd", "tridiagonal_solve", "triangular_inverse",
+        "forward_substitute", "backward_substitute"])
 def test_subnormal_pivots_raise(solve):
     # Dividing by a subnormal pivot overflows to inf, so a subnormal pivot
     # counts as zero at any scale, even where it is the largest entry.

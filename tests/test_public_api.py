@@ -1,6 +1,12 @@
 """The package's public names, which the benchmark harness is limited to."""
 
+import ast
+import importlib
+from pathlib import Path
+
 import elmbench
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
 # The benchmark (bench/harness.py) talks to the library through these names
 # only, so adding, renaming or dropping one is a deliberate change to both.
@@ -53,3 +59,18 @@ def test_all_is_pinned():
     assert elmbench.__all__ == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(elmbench, name, None) is not None, name
+
+
+def test_traced_names_exist():
+    # The traced benchmark run wraps these functions by name, so dropping or
+    # renaming one breaks only that run. Read the table without importing
+    # the benchmark code.
+    tree = ast.parse(TRACING.read_text(encoding="utf-8"))
+    traced = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and any(getattr(t, "id", None) == "TRACED" for t in node.targets))
+    assert traced
+    for module_name, names in traced.items():
+        module = importlib.import_module(f"elmbench.{module_name}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{module_name}.{name}"
