@@ -110,8 +110,9 @@ def write_csv(dataset: Dataset, path) -> None:
     reproduces them bit for bit. Rows must already be in ascending
     (session, run, image) order. What load_csv would refuse is refused here
     too, before any file is written: a non-finite feature or a layout value
-    that is not a whole number raises SchemaError, and a label outside
-    {0, 1} raises InvalidLabel. Labels and layout are written as integers.
+    that is not a whole number in int64 raises SchemaError, and a label
+    outside {0, 1} raises InvalidLabel. Labels and layout are written as
+    integers.
     """
     feats = np.asarray(dataset.features, dtype=float)
     if feats.ndim != 2 or feats.shape[1] < 1:
@@ -129,10 +130,13 @@ def write_csv(dataset: Dataset, path) -> None:
     if bad.size:
         raise InvalidLabel(
             f"row {bad[0] + 1}: label must be 0 or 1, got {labels[bad[0]]}")
-    whole = np.isfinite(layout) & (layout == np.round(layout))
+    # 2**63 compares exactly against float and integer layouts alike.
+    whole = (np.isfinite(layout) & (layout == np.round(layout))
+             & (layout >= -2**63) & (layout < 2**63))
     bad = np.flatnonzero(~whole.all(axis=1))
     if bad.size:
-        raise SchemaError(f"row {bad[0] + 1}: layout value is not a whole number")
+        raise SchemaError(
+            f"row {bad[0] + 1}: layout value is not a whole number in int64")
     # 1.0 would be written as "1.0"
     labels = labels.astype(np.int64)
     layout = layout.astype(np.int64)
@@ -179,10 +183,11 @@ def load_csv(path) -> Dataset:
             bad = next(i for i, cell in enumerate(cells) if cell.translate(_LITERAL_CHARS))
             raise ParseError(f"{path}: row {r}, column {header[bad]}: "
                              f"not a decimal literal {cells[bad]!r}")
-        try:
-            layout[r - 1] = [int(cells[0]), int(cells[1]), int(cells[2])]
-        except ValueError as exc:
-            raise ParseError(f"{path}: row {r}: bad index cell ({exc})") from exc
+        for c in range(3):
+            try:
+                layout[r - 1, c] = int(cells[c])
+            except (ValueError, OverflowError) as exc:
+                raise ParseError(f"{path}: row {r}, column {header[c]}: {exc}") from exc
         try:
             label = int(cells[3])
         except ValueError as exc:

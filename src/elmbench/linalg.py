@@ -24,10 +24,8 @@ from .errors import (
 )
 
 # Thresholds: a pivot or diagonal below _zero_below(scale), PIVOT_RTOL * scale
-# floored at LAPACK's safe minimum, is zero; the SVD rotates a column pair
-# while its cosine exceeds DEFLATE_RTOL.
+# floored at LAPACK's safe minimum, is zero.
 PIVOT_RTOL = 1e-12
-DEFLATE_RTOL = 1e-12
 SYMMETRY_RTOL = 1e-10
 SVD_MAX_SWEEPS = 60
 EIGEN_ITER_FACTOR = 100
@@ -769,16 +767,17 @@ def svd(a) -> SvdFactors:
 
     The columns of r2.T are closer to orthogonal than those of r, and more
     so with the pivoting, so fewer sweeps remain. They are then rotated
-    pairwise until mutually orthogonal, each round rotating a round-robin
-    set of disjoint pairs at once, to r2.T w == y diag(sigma). Each round
-    rotates the m columns of r2.T only: the rotations w are not
-    accumulated, but recovered after the sweeps by one triangular solve,
-    w == r2.T^-1 y diag(sigma), since r2.T is lower triangular (the "V by a
-    triangular solve" of Drmac & Veselic). The column norms become the
-    singular values (sorted descending). The normalized columns y are
-    mapped back through qp's and then q's reflectors to give u; w is mapped
-    through q2's reflectors and its rows put back in the order of a's
-    columns to give v. Columns whose singular value underflows sort last;
+    pairwise until no pair's cosine exceeds m * eps (dgesvj's stop), each
+    round rotating a round-robin set of disjoint pairs at once, to
+    r2.T w == y diag(sigma). Each round rotates the m columns of r2.T only:
+    the rotations w are not accumulated, but recovered after the sweeps by
+    one triangular solve, w == r2.T^-1 y diag(sigma), since r2.T is lower
+    triangular (the "V by a triangular solve" of Drmac & Veselic). The
+    column norms become the singular values (sorted descending). The
+    normalized columns y are mapped back through qp's and then q's
+    reflectors to give u; w is mapped through q2's reflectors and its rows
+    put back in the order of a's columns to give v. Columns whose singular
+    value is below _zero_below(sigma[0]), where solve refuses, sort last;
     they are completed to an orthonormal basis from the same reflector
     kernel, so u always has orthonormal columns.
 
@@ -809,7 +808,7 @@ def svd(a) -> SvdFactors:
     # rotates the same gather by one batched 2 x 2 product and scatters it.
     rows = np.triu(rt)
     rounds = [np.column_stack((p, q)).ravel() for p, q in _round_robin(m)]
-    tol = DEFLATE_RTOL
+    tol = m * np.finfo(float).eps
     signs = np.array([-1.0, 1.0])
     for sweep in range(SVD_MAX_SWEEPS):
         # Squared column norms are refreshed once per sweep and then tracked
@@ -856,7 +855,7 @@ def svd(a) -> SvdFactors:
     v = np.empty((m, m))
     v[perm] = _apply_reflectors(blocks2, m, w)
     u_r = np.zeros((m, m))
-    live = int(np.count_nonzero(sigma > sigma[0] * np.finfo(float).eps))
+    live = int(np.count_nonzero(sigma >= _zero_below(sigma[0])))
     u_r[:, :live] = rows[order[:live]].T / sigma[:live]
     if live < m:
         # The trailing columns of the reflector product that triangularizes

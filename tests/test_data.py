@@ -212,8 +212,9 @@ def test_csv_rejects_nan_with_location(tmp_path):
 
 
 def test_csv_rejects_garbage_cell(tmp_path):
-    # int() and float() take all but the first cell; none is a decimal literal
     rows = {
+        # int() and float() take all but the first cell of these; none is a
+        # decimal literal
         "0,0,0,1,zzz": "row 1",
         "0,0,0,1,1_000": "row 1, column f0",
         "0,0,0,1,\u0661": "row 1, column f0",
@@ -222,6 +223,14 @@ def test_csv_rejects_garbage_cell(tmp_path):
         "1_0,0,0,1,1.0": "row 1, column session",
         "0,\u0661,0,1,1.0": "row 1, column run",
         "0,0,0,0_1,1.0": "row 1, column label",
+        # decimal characters only, but not a value the column takes
+        "99999999999999999999,0,0,1,1.0": "row 1, column session",
+        "1.5,0,0,1,1.0": "row 1, column session",
+        "0,0,0,0.5,1.0": "row 1, column label",
+        "0,0,0,1,1e": "row 1, column f0",
+        "0,0,0,1,": "row 1, column f0",
+        "0,0,0,1,1e999": "row 1, column f0: non-finite",
+        "0,0,0,1": "row 1 has 4 cells, expected 5",
     }
     path = tmp_path / "bad.csv"
     for row, where in rows.items():
@@ -275,6 +284,22 @@ def test_write_rejects_fractional_layout(tmp_path):
     with pytest.raises(SchemaError, match="row 2"):
         write_csv(Dataset(features=np.ones((3, 1)), labels=np.array([1, 0, 0]),
                           layout=layout), tmp_path / "half.csv")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("features, labels, layout, message", [
+    (np.ones((0, 1)), np.zeros(0), np.zeros((0, 3)), "at least one row"),
+    (np.ones((2, 1)), np.zeros(3), [[0, 0, 0], [0, 0, 1]], "row count"),
+    (np.ones((2, 1)), np.zeros(2), [[0, 0, 0]], "row count"),
+    # astype(np.int64) would wrap these to -2**63 with only a warning
+    (np.ones((2, 1)), np.zeros(2), [[0, 0, 0], [0, 0, -1e30]], "row 2"),
+    (np.ones((2, 1)), np.zeros(2), [[0, 0, 0], [2.0**63, 0, 0]], "row 2"),
+], ids=["no-rows", "label-count", "layout-count", "layout-below-int64",
+        "layout-above-int64"])
+def test_write_refuses_before_writing(tmp_path, features, labels, layout, message):
+    ds = Dataset(features=features, labels=labels, layout=np.asarray(layout))
+    with pytest.raises(SchemaError, match=message):
+        write_csv(ds, tmp_path / "bad.csv")
     assert not list(tmp_path.iterdir())
 
 

@@ -100,6 +100,12 @@ def test_layer_range_and_mean():
     assert abs(draws.mean()) < 0.1  # 10100 draws
 
 
+def test_hidden_output_rejects_bias_count():
+    with pytest.raises(DimensionMismatch, match="3 biases for 2 hidden neurons"):
+        hidden_output([[1.0, 2.0]], np.zeros((2, 2)), np.zeros(3),
+                      ActivationKind.IDENTITY)
+
+
 def test_hidden_output_zero_weights():
     h = hidden_output([[1.0, 2.0]], np.zeros((2, 3)), np.zeros(3),
                       ActivationKind.IDENTITY)
@@ -358,6 +364,18 @@ def test_underflowed_ridge_normal_matrix_raises(solve, exact, kind):
     assert out.size and np.all(out == exact)
 
 
+def test_routes_agree_with_hh_qr_on_a_well_conditioned_h():
+    # cond(h) is 6.1, so every route's weights sit within a few eps of
+    # hh-qr's; the SVD's eps-relative stop leaves no larger rotation undone.
+    rng = np.random.default_rng(0)
+    h = rng.uniform(size=(40, 5))
+    t = rng.uniform(size=40)
+    ref = solve_output_weights(h, t, SolverKind.HH_QR)
+    for kind in ALL_SOLVERS:
+        w = solve_output_weights(h, t, kind)
+        assert np.linalg.norm(w - ref) <= 1e-14 * np.linalg.norm(ref), kind
+
+
 @pytest.mark.parametrize("kind", ALL_SOLVERS)
 @pytest.mark.parametrize("exponent", [500, 520, 1000, -500, -520, -560])
 def test_routes_solve_or_raise_at_extreme_scales(kind, exponent):
@@ -444,6 +462,8 @@ def test_train_deterministic_models():
 def test_train_validates_inputs():
     with pytest.raises(DimensionMismatch):
         train([[1.0]], [1.0], ElmConfig(hidden_neurons=1))
+    with pytest.raises(DimensionMismatch, match="3 feature rows for 2 targets"):
+        train([[1.0], [2.0], [3.0]], [0.0, 1.0], ElmConfig(hidden_neurons=1))
     with pytest.raises(InvalidLabel):
         train([[1.0], [2.0]], [0.0, 2.0], ElmConfig(hidden_neurons=1))
 

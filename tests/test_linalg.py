@@ -15,9 +15,12 @@ import elmbench
 from elmbench import (
     ElmConfig,
     SolverKind,
+    apply_normalizer,
     backward_substitute,
+    fit_normalizer,
     flop_estimate,
     forward_substitute,
+    grand_average,
     hat_diagnostic,
     hessenberg_reduce,
     hidden_output,
@@ -27,8 +30,10 @@ from elmbench import (
     lu_decompose,
     mgs_qr,
     schur_decompose,
+    session_kfold,
     solve_output_weights,
     svd,
+    synth_epochs,
     triangular_inverse,
     tridiagonal_solve,
 )
@@ -669,13 +674,32 @@ def test_svd_wide_matrix():
 def test_svd_sweeps_on_hidden_and_ridge_matrices():
     # QR, pivoted QR, then LQ leaves 7 sweeps on each of these matrices;
     # QR then LQ without pivoting left 8 on each, and QR alone took 11 on h
-    # and 13 on the ridge normal matrix.
+    # and 13 on the ridge normal matrix. The m * eps stop keeps u orthonormal
+    # to about 1e-13 within those 7 sweeps; a stop at sqrt(m) * eps took the
+    # ridge matrix to 8.
     x = np.random.default_rng(3).uniform(0.0, 1.0, (200, 16))
     cfg = ElmConfig(hidden_neurons=50, rng_seed=3)
     weights, biases = init_random_layer(cfg, 16)
     h = hidden_output(x, weights, biases, cfg.activation)
-    assert svd(h).sweeps <= 7
-    assert svd(h.T @ h + 0.1 * np.eye(50)).sweeps <= 7
+    for a in (h, h.T @ h + 0.1 * np.eye(50)):
+        f = svd(a)
+        assert f.sweeps <= 7
+        assert fro(f.u.T @ f.u - np.eye(50)) <= 1e-12
+
+
+@pytest.mark.slow
+def test_svd_orthogonality_at_the_widest_erp_layer():
+    # Criterion 03 holds ||U^T U - I|| to 1e-10 on inputs up to 200 x 200;
+    # this holds the same bound on the 792 x 780 sigmoid h of erp-cv fold 0,
+    # nearly as wide as the fold's 792 training rows allow, in about 20 s.
+    features = grand_average(synth_epochs(seed=7, snr=0.5))
+    train_idx, _ = session_kfold(12, 6, 12, n_samples=864).folds[0]
+    x = features[train_idx]
+    x = apply_normalizer(fit_normalizer(x), x)
+    cfg = ElmConfig(hidden_neurons=780, rng_seed=7)
+    weights, biases = init_random_layer(cfg, x.shape[1])
+    f = svd(hidden_output(x, weights, biases, cfg.activation))
+    assert fro(f.u.T @ f.u - np.eye(780)) <= 1e-10
 
 
 def _sigmoid_hidden(rows, width, seed):

@@ -11,7 +11,7 @@ from elmbench import (
     metric_report,
     session_kfold,
 )
-from elmbench.errors import InvalidLabel, LayoutMismatch, LengthMismatch
+from elmbench.errors import DimensionMismatch, InvalidLabel, LayoutMismatch, LengthMismatch
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +109,11 @@ def test_metrics_class_swap_symmetry():
     assert abs(abs(rep.mcc) - abs(swapped.mcc)) <= 1e-12
 
 
+def test_metric_report_rejects_empty_counts():
+    with pytest.raises(ValueError, match="confusion counts are empty"):
+        metric_report(ConfusionCounts(tp=0, fp=0, fn=0, tn=0))
+
+
 def test_metric_ranges():
     rng = np.random.default_rng(79)
     for _ in range(20):
@@ -201,3 +206,8 @@ def test_grand_average_linearity():
     base = grand_average(_epochs(data))
     scaled = grand_average(_epochs(3.5 * data))
     assert np.allclose(scaled, 3.5 * base)
+
+
+def test_grand_average_rejects_data_that_is_not_3d():
+    with pytest.raises(DimensionMismatch, match="must be 3-D, got 2-D"):
+        grand_average(_epochs(np.ones((3, 8))))
