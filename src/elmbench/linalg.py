@@ -730,31 +730,30 @@ def tridiagonal_solve(t, b) -> np.ndarray:
 # One-sided Jacobi SVD
 # ---------------------------------------------------------------------------
 
-def _round_robin(m: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Round-robin (Brent-Luk) schedule of disjoint column pairs for one sweep.
+def _ring_shift(dst: np.ndarray, src: np.ndarray) -> None:
+    """Copy src, h pairs of slots, into dst one round on in Brent & Luk's ring order.
 
-    Returns one (p, q) pair of index arrays per round, with p < q; together
-    the rounds meet every pair of range(m) exactly once. The last slot stays
-    put while the others move one place round a ring each round, so a sweep
-    is m - 1 rounds of m/2 pairs. Odd m is padded with a column that sits
-    out, giving m rounds of (m - 1)/2 pairs.
+    Slot (0, 0) stays put. Every other slot takes the entry of the next one
+    round the ring (0, 1), (1, 0), (2, 0), ..., (h - 1, 0), (h - 1, 1),
+    (h - 2, 1), ..., (1, 1) (SIAM J. Sci. Stat. Comput. 6(1), 1985).
     """
-    slots = m + m % 2
-    ring = slots - 1
-    r = np.arange(ring)[:, None]
-    offsets = np.arange(1, slots // 2)
-    i = np.hstack((r, (r + offsets) % ring))
-    j = np.hstack((np.full_like(r, ring), (r - offsets) % ring))
-    if m % 2:
-        i, j = i[:, 1:], j[:, 1:]
-    return [(p, q) for p, q in zip(np.minimum(i, j), np.maximum(i, j)) if p.size]
+    h = src.shape[0]
+    if h == 1:
+        dst[...] = src
+        return
+    dst[0, 0] = src[0, 0]
+    dst[1:h - 1, 0] = src[2:, 0]
+    dst[h - 1, 0] = src[h - 1, 1]
+    dst[1:, 1] = src[:h - 1, 1]
+    dst[0, 1] = src[1, 0]
 
 
 def svd(a) -> SvdFactors:
     """Thin SVD by QR-LQ-preconditioned one-sided Jacobi in round-robin order.
 
     A wide matrix is factored through its transpose. A tall n x m matrix is
-    preconditioned by three Householder reductions:
+    preconditioned by three Householder reductions, a square one by the last
+    two, since it is already m x m:
 
     - the blocked reduction a == q r to its m x m triangular factor r;
     - a column-pivoted reduction r[:, perm] == qp rp (Businger & Golub,
@@ -767,9 +766,12 @@ def svd(a) -> SvdFactors:
 
     The columns of r2.T are closer to orthogonal than those of r, and more
     so with the pivoting, so fewer sweeps remain. They are then rotated
-    pairwise until no pair's cosine exceeds m * eps (dgesvj's stop), each
-    round rotating a round-robin set of disjoint pairs at once, to
-    r2.T w == y diag(sigma). Each round rotates the m columns of r2.T only:
+    pairwise until no pair's cosine exceeds m * eps (dgesvj's stop), to
+    r2.T w == y diag(sigma). They are held as ceil(m / 2) adjacent pairs of
+    rows, an odd m padded by a zero row: a round rotates all its pairs
+    through views by one batched 2 x 2 product, and _ring_shift then moves
+    each column one slot round Brent & Luk's ring, with no gather or
+    scatter. Each round rotates the m columns of r2.T only:
     the rotations w are not accumulated, but recovered after the sweeps by
     one triangular solve, w == r2.T^-1 y diag(sigma), since r2.T is lower
     triangular (the "V by a triangular solve" of Drmac & Veselic). The
@@ -794,52 +796,60 @@ def svd(a) -> SvdFactors:
     a = np.ascontiguousarray(a.T if wide else a)
     n, m = a.shape
     scale = _unit_scale(a)
-    blocks = _householder_reduce(a)
-    r = np.triu(a[:m])
+    blocks = _householder_reduce(a) if n > m else []
+    r = np.triu(a[:m]) if blocks else a
     pivot_blocks, perm = _pivoted_reduce(r)
     # r now holds rp. The LQ step reduces rp.T, so the columns of r2.T that
     # Jacobi rotates come out as the rows of r2, the upper triangle of rt.
     rt = np.ascontiguousarray(np.triu(r).T)
     blocks2 = _householder_reduce(rt)
-    # Row i holds column i of r2.T, so one gather fetches everything a round
-    # rotates; the rotations themselves are not accumulated. Each round's
-    # pairs are interleaved (p0, q0, p1, q1, ...) so a pair is one 2 x m slab
-    # of the gather; the round reads the slabs for its cosine test, then
-    # rotates the same gather by one batched 2 x 2 product and scatters it.
-    rows = np.triu(rt)
-    rounds = [np.column_stack((p, q)).ravel() for p, q in _round_robin(m)]
-    tol = m * np.finfo(float).eps
+    # Pair k starts with columns k and ring - k, pair 0 with ring (the pad
+    # when m is odd) and 0; every ring rounds bring each column back there.
+    # Each slot's squared norm rides in its last entry, so _ring_shift moves
+    # it with its row; the batched product garbles it, and the exact update
+    # replaces it.
+    h = (m + 1) // 2
+    ring = 2 * h - 1
+    start = np.column_stack((np.arange(h), (ring - np.arange(h)) % ring))
+    start[0, 0] = ring
+    slot = np.argsort(start, axis=None)[:m]  # column c sits in slot[c]
+    pairs = np.zeros((h, 2, m + 1))
+    pairs.reshape(2 * h, m + 1)[slot, :m] = np.triu(rt)
+    spare = np.empty_like(pairs)
+    rot = np.empty((h, 2, 2))
+    tol2 = (m * np.finfo(float).eps) ** 2
     signs = np.array([-1.0, 1.0])
     for sweep in range(SVD_MAX_SWEEPS):
-        # Squared column norms are refreshed once per sweep and then tracked
-        # through the exact rotation update.
-        norms2 = np.einsum("ij,ij->i", rows, rows)
+        # Squared norms are refreshed once per sweep, then tracked through
+        # the exact rotation update.
+        pairs[..., m] = np.einsum("ijk,ijk->ij", pairs[..., :m], pairs[..., :m])
         rotated = False
-        for pq in rounds:
-            half = pq.size // 2
-            pair = rows[pq].reshape(half, 2, m)
-            n2 = norms2[pq].reshape(half, 2)
-            npp, nqq = n2[:, 0], n2[:, 1]
-            g = np.einsum("ij,ij->i", pair[:, 0], pair[:, 1])
-            # Columns with underflowed norms are numerically zero and cannot
-            # be rotated against anything; the rest rotate only when their
-            # cosine exceeds the threshold.
-            live = (np.minimum(npp, nqq) > 0.0) & (np.abs(g) > tol * np.sqrt(npp * nqq))
-            if not np.count_nonzero(live):
-                continue
-            rotated = True
-            tau = (nqq - npp) / (2.0 * np.where(live, g, 1.0))
-            at = np.abs(tau)
-            t = 1.0 / (at + np.hypot(1.0, at))
-            t = np.copysign(t * live, tau)  # identity rotation below threshold
-            c = 1.0 / np.hypot(1.0, t)
-            rows[pq] = (_rotations(c, c * t) @ pair).reshape(pq.size, m)
-            n2 += (t * g)[:, None] * signs
-            norms2[pq] = np.maximum(n2, 0.0).ravel()
+        for _ in range(ring):
+            npp, nqq = pairs[:, 0, m], pairs[:, 1, m]
+            g = np.einsum("ij,ij->i", pairs[:, 0, :m], pairs[:, 1, :m])
+            # A pair whose squared norms multiply to zero, if only by
+            # underflow, is numerically zero and never rotates; the rest
+            # rotate while their cosine exceeds m * eps.
+            prod = npp * nqq
+            live = (prod > 0.0) & (g * g > tol2 * prod)
+            if np.count_nonzero(live):
+                rotated = True
+                tau = (nqq - npp) / (2.0 * np.where(live, g, 1.0))
+                at = np.abs(tau)
+                t = np.copysign(live / (at + np.hypot(1.0, at)), tau)  # 0 if dead
+                c = 1.0 / np.hypot(1.0, t)
+                rot.reshape(h, 4)[:, ::3] = c[:, None]  # rot[k] = [[c, -s], [s, c]]
+                rot.reshape(h, 4)[:, 1:3] = (c * t)[:, None] * signs
+                np.matmul(rot, pairs, out=spare)
+                spare[..., m] = np.maximum(pairs[..., m] + (t * g)[:, None] * signs, 0.0)
+            else:
+                pairs, spare = spare, pairs
+            _ring_shift(pairs, spare)
         if not rotated:
             break
     else:
         raise NoConvergence(f"columns not orthogonal after {SVD_MAX_SWEEPS} sweeps")
+    rows = pairs.reshape(2 * h, m + 1)[slot, :m]
     sigma_all = np.sqrt(np.einsum("ij,ij->i", rows, rows))
     order = np.argsort(sigma_all)[::-1]
     sigma = sigma_all[order]
