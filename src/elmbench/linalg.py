@@ -31,8 +31,13 @@ SVD_MAX_SWEEPS = 60
 EIGEN_ITER_FACTOR = 100
 # Reflectors per compact-WY block of the Householder kernel. Of 16, 24, 32
 # and 48, 32 gave the fastest reduction at 5000x500 and was within timing
-# noise of the fastest reduction plus q at 792x100 (1 BLAS thread).
+# noise of the fastest reduction plus q at 792x100 (1 BLAS thread). It also
+# bounds the blocks that Schur's divide and conquer solves by QL: of 16, 32
+# and 64, 32 gave the fastest schur_decompose at width 100 and was within
+# 8% of 16 at width 500.
 _NB = 32
+_EPS = float(np.finfo(float).eps)
+_TINY_OVER_EPS = float(np.finfo(float).tiny) / _EPS
 
 
 class SolverKind(Enum):
@@ -76,8 +81,9 @@ class QrFactors:
 class SimilarityFactors:
     """Orthogonal similarity a == q @ t @ q.T.
 
-    iterations counts the QL iterations Schur used (budget
-    EIGEN_ITER_FACTOR * n); a direct reduction reports 0.
+    iterations counts Schur's work against its budget of
+    EIGEN_ITER_FACTOR * n: the QL iterations of its blocks plus the passes
+    of its secular-equation solves; a direct reduction reports 0.
     """
 
     q: np.ndarray
@@ -288,10 +294,18 @@ def _reflector(x: np.ndarray) -> np.ndarray:
     """Unit v with (I - 2 v v.T) @ x a multiple of e_0; zero, the identity, if x == 0.
 
     The leading entry is shifted away from zero, so v @ v cannot cancel.
+    An x whose x @ x is below tiny / eps, where underflow may have eaten its
+    bits, is first divided by the power of two at or below max |x|; v does
+    not depend on the length of x.
     """
-    nrm = math.sqrt(x @ x)
-    if nrm == 0.0:
-        return np.zeros_like(x)
+    xx = x @ x
+    if xx < _TINY_OVER_EPS:
+        top = np.abs(x).max()
+        if top == 0.0:
+            return np.zeros_like(x)
+        x = x / math.ldexp(0.5, math.frexp(top)[1])
+        xx = x @ x
+    nrm = math.sqrt(xx)
     v = x.copy()
     v[0] += math.copysign(nrm, x[0]) if x[0] != 0.0 else nrm
     v /= math.sqrt(v @ v)
@@ -554,8 +568,11 @@ def _tridiag_eigen(d: np.ndarray, e: np.ndarray, zt: np.ndarray,
     Returns the eigenvalues and the number of QL iterations used; the rows of
     zt, updated in place, become the matching eigenvectors. e[m] deflates
     once |e[m]| <= eps * (|d[m]| + |d[m + 1]|), relative to its own
-    neighbours, so small eigenvalues keep their relative accuracy. It works
-    in three steps:
+    neighbours, so small eigenvalues keep their relative accuracy. Schur's
+    divide and conquer calls it once, on the torn tridiagonal against the
+    identity: an exact zero in e deflates at once, so every chase stays
+    inside its block, and the wavefront interleaves the blocks' layers. It
+    works in three steps:
 
     - record: the scalar QL loop runs on Python floats, which are faster
       here than numpy's, and records each rotation of rows i and i + 1 as
@@ -677,22 +694,216 @@ class _SchurFactors(SimilarityFactors):
         return self.q @ ((self.q.T @ b) / _by_row(eigs, b))
 
 
+def _tears(lo: int, hi: int) -> list:
+    """The (lo, mid, hi) splits that halve rows lo:hi into blocks of <= _NB, parents first."""
+    if hi - lo <= _NB:
+        return []
+    mid = (lo + hi) // 2
+    return [(lo, mid, hi)] + _tears(lo, mid) + _tears(mid, hi)
+
+
+def _two_pole_step(c, s, big_s, dp, dq, t, lo, hi):
+    """t + x for the root x of c + s / (dp - x) + big_s / (dq - x) with t + x in (lo, hi).
+
+    The model's two roots come from the quadratic c x^2 - a x + b == 0
+    without cancellation. If neither lands in the bracket, it is bisected.
+    """
+    a = c * (dp + dq) + s + big_s
+    b = c * dp * dq + s * dq + big_s * dp
+    qq = a + np.copysign(np.sqrt(np.abs(a * a - 4.0 * b * c)), a)
+    small = t + np.divide(2.0 * b, qq, out=np.full_like(qq, np.nan), where=qq != 0.0)
+    large = t + np.divide(qq, 2.0 * c, out=np.full_like(qq, np.nan), where=c != 0.0)
+    return np.where((small > lo) & (small < hi), small,
+                    np.where((large > lo) & (large < hi), large, 0.5 * (lo + hi)))
+
+
+def _secular_roots(d: np.ndarray, z: np.ndarray, rho: float,
+                   budget: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Roots of 1 / rho + sum_j z_j^2 / (d_j - lam) == 0 for ascending, distinct d.
+
+    Returns lam, delta with delta[j, i] == d_j - lam_i to full relative
+    accuracy, and the passes used. Root i lies in (d_i, d_i+1), the last in
+    (d_k-1, d_k-1 + rho z.z]. Each root is held as tau from its origin, the
+    pole nearer to it, which the secular function's sign at the interval's
+    midpoint names (LAPACK's dlaed4); then d_j - lam_i == (d_j - d_origin)
+    - tau cancels nothing. Every pass evaluates the function at every root
+    and moves each one not yet converged to the root of a two-pole rational
+    model that matches the function's value and slope: poles d_p and d_q,
+    weighted by the slopes of the sums over the poles below d_q and from
+    d_q up (the "middle way" of R.-C. Li, LAPACK Working Note 89, 1994).
+    q is i + 1 and p is i, except for the last root, which lies above both
+    of its model's poles k - 2 and k - 1. A step that leaves the root's
+    bracket, narrowed by the sign at every pass, bisects it. A root stops
+    when |f| <= eps times dlaed4's bound on the rounding error of the sum.
+    Raises NoConvergence past budget passes.
+    """
+    k = d.size
+    z2 = z * z
+    idx = np.arange(k)
+    q = np.minimum(idx + 1, k - 1)
+    p = np.maximum(q - 1, 0)
+    # The last root's bracket ends at d_k-1 + 2 rho z.z, where f > 0, so the
+    # root, at most d_k-1 + rho z.z, lies strictly inside it.
+    gap = np.append(np.diff(d), 2.0 * rho * z2.sum())
+    mid = 0.5 * gap
+    span = d[None, :] - d[:, None]  # span[i, j] == d_j - d_i
+    at_mid = span - mid[:, None]
+    f_mid = 1.0 / rho + (z2 / at_mid).sum(axis=1)
+    right = (f_mid < 0.0) & (idx < k - 1)
+    origin = idx + right
+    base = span[origin]  # d_j - d_origin
+    lo = np.where(f_mid < 0.0, np.where(right, mid - gap, mid), 0.0)
+    hi = np.where(f_mid < 0.0, np.where(right, 0.0, gap), mid)
+    # The first step: the model's poles exact and the other terms frozen at
+    # the midpoint (dlaed4's start). A one-pole problem (k == 1) has p == q
+    # and s == 0.
+    zp2 = np.where(p < q, z2[p], 0.0)
+    rest = f_mid - zp2 / at_mid[idx, p] - z2[q] / at_mid[idx, q]
+    tau = _two_pole_step(rest, zp2, z2[q], base[idx, p], base[idx, q], 0.0, lo, hi)
+    # The error bound weights each term by how often it enters dlaed4's
+    # running partial sums (|origin - j|), plus 8 off the origin, 3 at it.
+    weight = np.abs(origin[:, None] - idx[None, :]) + 8.0
+    weight[idx, origin] = 3.0
+    below = (idx[None, :] < q[:, None]).astype(float)
+    live = np.ones(k, dtype=bool)
+    passes = 0
+    while True:
+        passes += 1
+        if passes > budget:
+            raise NoConvergence(f"secular equation unsolved within {budget} passes")
+        delta = base - tau[:, None]
+        term = z2 / delta
+        slope = term / delta
+        f = 1.0 / rho + term.sum(axis=1)
+        dw = slope.sum(axis=1)
+        bound = np.einsum("ij,ij->i", weight, np.abs(term)) + 2.0 / rho + np.abs(tau) * dw
+        live &= np.abs(f) > _EPS * bound
+        if not live.any():
+            break
+        lo = np.where(f < 0.0, tau, lo)
+        hi = np.where(f > 0.0, tau, hi)
+        dp, dq = delta[idx, p], delta[idx, q]
+        psi = np.einsum("ij,ij->i", below, slope)
+        phi = dw - psi
+        step = _two_pole_step(f - dp * psi - dq * phi, dp * dp * psi, dq * dq * phi,
+                              dp, dq, tau, lo, hi)
+        tau = np.where(live, step, tau)
+    return d[origin] + tau, (base - tau[:, None]).T, passes
+
+
+def _merge(d: np.ndarray, vecs: np.ndarray, split: int, beta: float,
+           budget: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Eigenpairs of a tridiagonal from those of its two halves, torn at split.
+
+    d and the columns of vecs are the eigenpairs of rows :split and split:
+    after Cuppen's tear, which subtracted |beta| from the diagonal on both
+    sides of it; the tridiagonal is then diag(T1, T2) + rho v v.T with v the
+    unit (e_split-1 + sign(beta) e_split) / sqrt(2) and rho == 2 |beta|.
+    The merge follows LAPACK's dlaed2/dlaed3 (Gu & Eisenstat, SIMAX 16(1),
+    1995): z, the vector v seen from the halves' eigenvectors, comes from
+    the two boundary rows of vecs. A pole whose rho |z_j| is below tol ==
+    8 eps max(|d|, |z|) keeps its pair; a pole that Givens rotation of its
+    z entry into the next one's changes by less than tol keeps its rotated
+    pair. The rest solve the secular equation, and their z is recomputed
+    from the computed roots by the Loewner formula, so the new eigenvectors
+    are orthogonal to working accuracy however close the roots are. They
+    reach vecs by one product. Returns d, vecs and the secular passes.
+    """
+    z = (vecs[split - 1] + math.copysign(1.0, beta) * vecs[split]) / math.sqrt(2.0)
+    rho = 2.0 * abs(beta)
+    order = np.argsort(d, kind="stable")
+    d, z, vecs = d[order], z[order], vecs[:, order]
+    tol = 8.0 * _EPS * max(np.abs(d).max(), np.abs(z).max())
+    poles = np.flatnonzero(rho * np.abs(z) > tol)
+    if not poles.size:
+        return d, vecs, 0
+    # Pairs are tested in order, and a rotation changes the next pair's d;
+    # before the first pair that passes the test on the unrotated values,
+    # none rotates.
+    zp, zn = z[poles[:-1]], z[poles[1:]]
+    close = np.abs((d[poles[1:]] - d[poles[:-1]]) * zn * zp) <= tol * (zp * zp + zn * zn)
+    first = int(np.argmax(close)) if close.any() else poles.size - 1
+    keep = poles[:first].tolist()
+    prev = int(poles[first])
+    for j in poles[first + 1:].tolist():
+        if abs((d[j] - d[prev]) * z[j] * z[prev]) <= tol * (z[prev] ** 2 + z[j] ** 2):
+            tau = math.hypot(z[prev], z[j])
+            c, s = z[j] / tau, -z[prev] / tau
+            vecs[:, [prev, j]] = vecs[:, [prev, j]] @ np.array([[c, -s], [s, c]])
+            z[prev], z[j] = 0.0, tau
+            d[prev], d[j] = (d[prev] * c * c + d[j] * s * s,
+                             d[prev] * s * s + d[j] * c * c)
+        else:
+            keep.append(prev)
+        prev = j
+    keep.append(prev)
+    keep = np.array(keep)
+    lam, delta, passes = _secular_roots(d[keep], z[keep], rho, budget)
+    # The Loewner formula: zhat_j^2 == prod_i (lam_i - d_j) / prod_(i != j) (d_i - d_j),
+    # up to the factor rho that the normalization drops, taken as a product
+    # of ratios near 1 so that it neither overflows nor underflows.
+    span = d[keep][:, None] - d[keep][None, :]
+    np.fill_diagonal(span, 1.0)
+    zhat = np.copysign(np.sqrt(-np.prod(delta / span, axis=1)), z[keep])
+    u = zhat[:, None] / delta
+    u /= np.sqrt(np.einsum("ij,ij->j", u, u))
+    d[keep] = lam
+    vecs[:, keep] = vecs[:, keep] @ u
+    return d, vecs, passes
+
+
+def _tridiag_dc(d: np.ndarray, e: np.ndarray,
+                max_iter: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Eigenvalues and eigenvector columns of the tridiagonal (d, e), by divide and conquer.
+
+    Cuppen's rank-one tears (Numer. Math. 36, 1981), rho == |beta| at each,
+    halve the tridiagonal until every block has at most _NB rows. The
+    blocks are solved together by one _tridiag_eigen call on the torn
+    tridiagonal against the identity: its zeros at the tears keep every QL
+    chase inside its block. The blocks are then merged bottom-up by _merge.
+    The QL iterations and the secular passes share the budget max_iter.
+    """
+    n = d.size
+    d, e = d.copy(), e.copy()
+    tears = _tears(0, n)
+    betas = [float(e[mid - 1]) for _, mid, _ in tears]
+    for (_, mid, _), beta in zip(tears, betas):
+        d[mid - 1] -= abs(beta)
+        d[mid] -= abs(beta)
+        e[mid - 1] = 0.0
+    zt = np.eye(n)
+    d, total = _tridiag_eigen(d, e, zt, max_iter)
+    vecs = zt.T
+    for (lo, mid, hi), beta in zip(reversed(tears), reversed(betas)):
+        d[lo:hi], vecs[lo:hi, lo:hi], passes = _merge(d[lo:hi], vecs[lo:hi, lo:hi],
+                                                      mid - lo, beta, max_iter - total)
+        total += passes
+    return d, vecs, total
+
+
 def schur_decompose(a) -> SimilarityFactors:
     """Real Schur form of a symmetric (PSD in practice) matrix.
 
-    Tridiagonalizes with Householder reflectors, then drives the off-diagonal
-    to zero with shifted QL iterations; an off-diagonal entry deflates below
-    eps times the sum of its two diagonal neighbours. t is diagonal with
-    eigenvalues in descending order; q columns are permuted to match.
+    Tridiagonalizes with Householder reflectors, then finds the
+    tridiagonal's eigenpairs by divide and conquer (_tridiag_dc): blocks of
+    at most _NB rows by shifted QL iterations, in which an off-diagonal
+    entry deflates below eps times the sum of its two diagonal neighbours,
+    merged by rank-one updates. q is the reduction's q times the
+    tridiagonal's eigenvectors. The tridiagonal is divided by the power of
+    two at or below its largest entry first, so the secular equations
+    neither overflow nor underflow. t is diagonal with eigenvalues in
+    descending order; q columns are permuted to match. iterations counts
+    the QL iterations and the secular passes, against one budget of
+    EIGEN_ITER_FACTOR * n; past it NoConvergence is raised.
     """
     base = hessenberg_reduce(a)
     n = base.t.shape[0]
-    zt = np.ascontiguousarray(base.q.T)
-    d, iterations = _tridiag_eigen(np.diag(base.t), np.diag(base.t, -1), zt,
-                                   EIGEN_ITER_FACTOR * n)
+    de = np.concatenate((np.diag(base.t), np.diag(base.t, -1)))
+    scale = _unit_scale(de)
+    d, vecs, iterations = _tridiag_dc(de[:n], de[n:], EIGEN_ITER_FACTOR * n)
     order = np.argsort(d)[::-1]
-    return _SchurFactors(q=np.ascontiguousarray(zt[order].T),
-                         t=np.diag(d[order]), iterations=iterations)
+    return _SchurFactors(q=base.q @ vecs[:, order], t=np.diag(d[order] * scale),
+                         iterations=iterations)
 
 
 def tridiagonal_solve(t, b) -> np.ndarray:

@@ -557,16 +557,106 @@ def _wavefront_cases():
 def test_schur_wavefront_matches_rotation_loop(name):
     a = _wavefront_cases()[name]
     n = a.shape[0]
-    f = schur_decompose(a)
     base = hessenberg_reduce(a)
+    d_diag, e_diag = np.diag(base.t), np.diag(base.t, -1)
     zt = np.ascontiguousarray(base.q.T)
-    d, total = _rotation_loop_eigen(np.diag(base.t), np.diag(base.t, -1), zt)
-    order = np.argsort(d)[::-1]
+    got = zt.copy()
+    d_got, total_got = linalg._tridiag_eigen(d_diag, e_diag, got, linalg.EIGEN_ITER_FACTOR * n)
+    d, total = _rotation_loop_eigen(d_diag, e_diag, zt)
     # The same rotations reach each row in the same order, so nothing but
     # the batching of the products can differ.
-    assert np.array_equal(np.diag(f.t), d[order])
-    assert np.abs(f.q - zt[order].T).max() <= 8 * n * np.finfo(float).eps
-    assert f.iterations == total
+    assert np.array_equal(d_got, d)
+    assert np.abs(got - zt).max() <= 8 * n * np.finfo(float).eps
+    assert total_got == total
+    if n <= linalg._NB:
+        # No tear: Schur's eigenvalues are the wavefront's, bit for bit.
+        assert np.array_equal(np.diag(schur_decompose(a).t), np.sort(d)[::-1])
+
+
+def _dc_cases():
+    rng = np.random.default_rng(61)
+    psd = {}
+    for n in (33, 64, 65, 100):
+        x = rng.standard_normal((n + 5, n))
+        psd[f"psd-{n}"] = x.T @ x
+    u = rng.standard_normal(64)
+    off = 1e-14 * rng.standard_normal(79)
+    q = np.linalg.qr(rng.standard_normal((70, 70)))[0]
+    eigs = rng.uniform(1.0, 5.0, 70)
+    eigs[20:23] = 2.5
+    g = np.logspace(0, -6, 90)
+    b = rng.standard_normal((90, 90))
+    # Two copies of a palindromic 32-row tridiagonal, coupled at the tear:
+    # both halves keep one spectrum after it, so every pole is doubled.
+    r, w = rng.uniform(1.0, 2.0, 32), rng.uniform(0.1, 0.5, 31)
+    half_d, half_e = r + r[::-1], w + w[::-1]
+    e = np.concatenate((half_e, [0.7], half_e))
+    glued = np.diag(np.concatenate((half_d, half_d))) + np.diag(e, 1) + np.diag(e, -1)
+    split = {}
+    # _tears halves 64 rows once, at row 32.
+    for name, sizes in (("at-the-tear", (32, 32)), ("off-the-tear", (20, 44))):
+        a = np.zeros((64, 64))
+        edge = 0
+        for k in sizes:
+            y = rng.standard_normal((k + 3, k))
+            a[edge:edge + k, edge:edge + k] = y.T @ y
+            edge += k
+        split[f"blocks-zero-{name}"] = a
+    return {
+        **psd,
+        "identity-plus-rank-one": np.eye(64) + np.outer(u, u),
+        "diagonal-tiny-off": (np.diag(rng.uniform(1.0, 10.0, 80))
+                              + np.diag(off, 1) + np.diag(off, -1)),
+        "glued-copies": glued,
+        "triple-eigenvalue": q @ np.diag(eigs) @ q.T,
+        "graded": g[:, None] * (b @ b.T + 90.0 * np.eye(90)) * g[None, :],
+        **split,
+    }
+
+
+def _assert_schur(a, f):
+    n = a.shape[0]
+    d = np.diag(f.t)
+    assert fro(a - f.q @ f.t @ f.q.T) <= 1e-12 * fro(a)
+    assert fro(f.q.T @ f.q - np.eye(n)) <= 1e-12
+    assert np.array_equal(f.t, np.diag(d))
+    assert np.all(np.diff(d) <= 0.0)
+    oracle = np.linalg.eigvalsh(a)[::-1]
+    assert np.abs(d - oracle).max() <= 1e-13 * np.abs(oracle).max()
+
+
+@pytest.mark.parametrize("name", list(_dc_cases()))
+def test_schur_divide_and_conquer(name):
+    # Every case is wider than one QL block, so the tridiagonal is torn and
+    # merged. Close poles (the glued copies, the triple eigenvalue) deflate
+    # by rotation; identity plus rank one tridiagonalizes to a coupling at
+    # round-off level, so all its poles deflate by their small z, as do the
+    # tiny couplings; an exact zero coupling leaves rho == 0 at a tear; the
+    # graded matrix spans six decades.
+    a = _dc_cases()[name]
+    assert a.shape[0] > linalg._NB
+    _assert_schur(a, schur_decompose(a))
+
+
+def test_schur_secular_passes_count_against_the_budget(monkeypatch):
+    # The blocks' QL iterations and the merges' secular passes share one
+    # budget: set half an iteration below what psd-65 uses, the last
+    # secular pass is one too many.
+    a = _dc_cases()["psd-65"]
+    used = schur_decompose(a).iterations
+    assert used <= linalg.EIGEN_ITER_FACTOR * 65
+    monkeypatch.setattr(linalg, "EIGEN_ITER_FACTOR", (used - 0.5) / 65)
+    with pytest.raises(NoConvergence, match="secular"):
+        schur_decompose(a)
+
+
+@pytest.mark.slow
+def test_schur_divide_and_conquer_at_width_500():
+    # 500 rows tear into 16 blocks of 31 or 32: four levels of merges on a
+    # sigmoid Gram matrix whose eigenvalues spread over many decades.
+    h = _sigmoid_hidden(1000, 500, 83)
+    a = h.T @ h
+    _assert_schur(a, schur_decompose(a))
 
 
 def test_solver_work_counts():
@@ -691,6 +781,19 @@ def test_svd_sweeps_on_hidden_and_ridge_matrices():
         assert fro(f.u.T @ f.u - np.eye(50)) <= 1e-12
 
 
+def _run_one_blas_thread(script):
+    # Iteration counts move with round-off, and OpenBLAS's bits with its
+    # thread count, so fold matrices are factored as the benchmark factors
+    # them: in a fresh interpreter with one BLAS thread.
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1", PYTHONPATH=path)
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    return json.loads(run.stdout)
+
+
 _ERP_CV_SWEEPS = """
 import json
 import numpy as np
@@ -716,18 +819,45 @@ def test_svd_sweeps_on_the_erp_cv_folds():
     # sweeps in Brent & Luk's order; an ordering that needs more sweeps,
     # and so more time per solve, fails here. Sweep counts move with
     # round-off, and OpenBLAS's bits with its thread count (fold 7's h takes
-    # 9 sweeps on two threads), so the folds are factored as the benchmark
-    # factors them: in a fresh interpreter with one BLAS thread.
-    src = Path(__file__).resolve().parents[1] / "src"
-    path = os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1", PYTHONPATH=path)
-    run = subprocess.run([sys.executable, "-c", _ERP_CV_SWEEPS], env=env,
-                         capture_output=True, text=True, check=True, timeout=120)
-    results = json.loads(run.stdout)
+    # 9 sweeps on two threads).
+    results = _run_one_blas_thread(_ERP_CV_SWEEPS)
     assert len(results) == 24
     for sweeps, orthogonality in results:
         assert sweeps <= 8
+        assert orthogonality <= 1e-12
+
+
+_ERP_CV_SCHUR = """
+import json
+import numpy as np
+from elmbench import (ElmConfig, apply_normalizer, fit_normalizer, grand_average,
+                      hidden_output, init_random_layer, linalg, schur_decompose,
+                      session_kfold, synth_epochs)
+features = grand_average(synth_epochs(seed=7, snr=0.5))
+cfg = ElmConfig(hidden_neurons=100, rng_seed=7)
+weights, biases = init_random_layer(cfg, features.shape[1])
+out = []
+for train_idx, _ in session_kfold(12, 6, 12, n_samples=864).folds:
+    x = apply_normalizer(fit_normalizer(features[train_idx]), features[train_idx])
+    h = hidden_output(x, weights, biases, cfg.activation)
+    for lam in (0.0, 0.1):
+        a = h.T @ h + lam * np.eye(100)
+        f = schur_decompose(a)
+        out.append((f.iterations, linalg.EIGEN_ITER_FACTOR * 100,
+                    float(np.linalg.norm(a - f.q @ f.t @ f.q.T) / np.linalg.norm(a)),
+                    float(np.linalg.norm(f.q.T @ f.q - np.eye(100)))))
+print(json.dumps(out))
+"""
+
+
+def test_schur_on_the_erp_cv_folds():
+    # The benchmark's normal matrices, 100 x 100 at ridge 0 and 0.1 on the
+    # 12 folds of seed 7, each torn into four blocks and merged in two levels.
+    results = _run_one_blas_thread(_ERP_CV_SCHUR)
+    assert len(results) == 24
+    for iterations, budget, reconstruction, orthogonality in results:
+        assert 0 < iterations <= budget
+        assert reconstruction <= 1e-12
         assert orthogonality <= 1e-12
 
 
@@ -827,6 +957,19 @@ def test_square_svd_skips_the_tall_reduction(monkeypatch):
     tall = len(calls)
     svd(a[:6])
     assert (tall, len(calls) - tall) == (2, 1)
+
+
+def test_reflector_of_a_column_whose_square_underflows():
+    # The trailing block sits 1e-160 below the leading entry, so x @ x of
+    # each of its columns is subnormal and has lost most of its bits; the
+    # reflector is built from the column scaled by a power of two.
+    a = np.zeros((8, 6))
+    a[0, 0] = 1.0
+    a[1:, 1:] = 1e-160 * np.random.default_rng(1).standard_normal((7, 5))
+    q = householder_qr(a).q
+    f = svd(a)
+    for m in (q, f.u, f.v):
+        assert fro(m.T @ m - np.eye(6)) <= 1e-12
 
 
 def test_svd_pairs_whose_norms_underflow_never_rotate():
