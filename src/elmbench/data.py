@@ -66,8 +66,8 @@ def synth_epochs(seed: int, n_sessions: int = 12, runs_per_session: int = 6,
     25 ms) on every channel, on top of unit-variance noise. All other trials
     are pure noise.
     """
-    if not (math.isfinite(snr) and snr > 0.0):
-        raise ValueError(f"snr must be positive and finite, got {snr}")
+    if not (isinstance(snr, numbers.Real) and math.isfinite(snr) and snr > 0.0):
+        raise ValueError(f"snr must be positive and finite, got {snr!r}")
     if not isinstance(seed, numbers.Integral) or seed < 0:
         raise ValueError(f"seed must be >= 0 and integral, got {seed!r}")
     if not all(isinstance(k, numbers.Integral) and k >= 1

@@ -552,15 +552,6 @@ def hessenberg_reduce(a) -> SimilarityFactors:
     return SimilarityFactors(q=q, t=t)
 
 
-def _rotations(c: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Blocks [[c, -s], [s, c]] that turn each row pair p, q into c p - s q, s p + c q."""
-    rot = np.empty((c.size, 2, 2))
-    rot[:, 0, 0] = rot[:, 1, 1] = c
-    rot[:, 0, 1] = -s
-    rot[:, 1, 0] = s
-    return rot
-
-
 def _tridiag_eigen(d: np.ndarray, e: np.ndarray, zt: np.ndarray,
                    max_iter: int) -> tuple[np.ndarray, int]:
     """Shifted QL iteration on a tridiagonal (d, e) with rotations folded into zt.
@@ -568,26 +559,26 @@ def _tridiag_eigen(d: np.ndarray, e: np.ndarray, zt: np.ndarray,
     Returns the eigenvalues and the number of QL iterations used; the rows of
     zt, updated in place, become the matching eigenvectors. e[m] deflates
     once |e[m]| <= eps * (|d[m]| + |d[m + 1]|), relative to its own
-    neighbours, so small eigenvalues keep their relative accuracy. Schur's
-    divide and conquer calls it once, on the torn tridiagonal against the
-    identity: an exact zero in e deflates at once, so every chase stays
-    inside its block, and the wavefront interleaves the blocks' layers. It
-    works in three steps:
+    neighbours, so small eigenvalues keep their relative accuracy. zt is
+    C-contiguous and its rows may have any width. Schur's divide and
+    conquer calls it once, on the torn tridiagonal against block-local
+    identity rows: an exact zero in e deflates at once, so every chase
+    stays inside its block, and the wavefront interleaves the blocks'
+    layers. It works in three steps:
 
     - record: the scalar QL loop runs on Python floats, which are faster
       here than numpy's, and records each rotation of rows i and i + 1 as
       (layer, i, c, s) in four flat lists instead of applying it. The
       rotation goes to the first layer k past every layer that touched row
       i or row i + 1 with k + i even. Layers only move later, so every row
-      meets its rotations in recorded order; all pairs of a layer start on
-      rows of one parity, so they are disjoint, consecutive pairs of one
-      slab of zt;
-    - blocks: one (slots, 2, 2) array holds every layer's rotations, slab
-      by slab, with the identity on each pair of a slab that its layer
-      does not turn;
-    - apply: each layer rotates its slab in place, as a strided view of
-      zt, by one batched 2 x 2 product. No rows are gathered or scattered,
-      and an identity block changes no bit.
+      meets its rotations in recorded order;
+    - blocks: layer k acts on every row pair (i, i + 1) with i == k mod 2,
+      which are disjoint. One (layers, n // 2, 2, 2) array holds the
+      rotation of pair i in layer k at [k, i // 2], and the identity on
+      each pair that its layer does not turn;
+    - apply: each layer rotates its pairs in place, as a view of zt, by one
+      batched 2 x 2 product. No rows are gathered or scattered, and an
+      identity block changes no bit.
 
     Rotations of one layer commute, so zt ends as the recorded order leaves
     it. This is the wavefront order of Van Zee, van de Geijn & Quintana-Orti,
@@ -657,28 +648,17 @@ def _tridiag_eigen(d: np.ndarray, e: np.ndarray, zt: np.ndarray,
                 d[l] -= p
                 e[l] = g
                 e[m] = 0.0
-    layer = np.array(layer_of, dtype=np.intp)
-    row = np.array(row_of, dtype=np.intp)
-    lo = np.full(max(depth), n)  # depth[i] is one past row i's last layer
-    hi = np.full(max(depth), -1)
-    np.minimum.at(lo, layer, row)
-    np.maximum.at(hi, layer, row)
-    # Layer k owns the slab zt[lo[k]:hi[k] + 2], as (hi[k] - lo[k]) / 2 + 1
-    # consecutive row pairs; a layer the parity rule left empty owns the
-    # empty slab zt[n:n].
-    pairs = np.where(hi < lo, 0, (hi - lo) // 2 + 1)
-    start = np.cumsum(pairs) - pairs
-    slots = int(pairs.sum())
-    slot = start[layer] + (row - lo[layer]) // 2
     # A pair its layer does not turn keeps c = 1, s = 0: the identity.
-    c = np.ones(slots)
-    s = np.zeros(slots)
-    c[slot] = cos_of
-    s[slot] = sin_of
-    rot = _rotations(c, s)
-    for first, j0, j1 in zip(lo.tolist(), start.tolist(), (start + pairs).tolist()):
-        blk = zt[first:first + 2 * (j1 - j0)].reshape(j1 - j0, 2, n)
-        blk[...] = rot[j0:j1] @ blk
+    at =(np.array(layer_of, dtype=np.intp), np.array(row_of, dtype=np.intp) // 2)
+    c = np.ones((max(depth), n // 2))  # depth[i] is one past row i's last layer
+    s = np.zeros_like(c)
+    c[at] = cos_of
+    s[at] = sin_of
+    rot = np.stack((c, -s, s, c), axis=-1).reshape(c.shape + (2, 2))
+    for k in range(rot.shape[0]):
+        count = (n - (k & 1)) // 2
+        blk = zt[k & 1:(k & 1) + 2 * count].reshape(count, 2, -1)
+        blk[...] = rot[k, :count] @ blk
     return np.array(d), total
 
 
@@ -817,15 +797,10 @@ def _merge(d: np.ndarray, vecs: np.ndarray, split: int, beta: float,
     poles = np.flatnonzero(rho * np.abs(z) > tol)
     if not poles.size:
         return d, vecs, 0
-    # Pairs are tested in order, and a rotation changes the next pair's d;
-    # before the first pair that passes the test on the unrotated values,
-    # none rotates.
-    zp, zn = z[poles[:-1]], z[poles[1:]]
-    close = np.abs((d[poles[1:]] - d[poles[:-1]]) * zn * zp) <= tol * (zp * zp + zn * zn)
-    first = int(np.argmax(close)) if close.any() else poles.size - 1
-    keep = poles[:first].tolist()
-    prev = int(poles[first])
-    for j in poles[first + 1:].tolist():
+    # Pairs are tested in order, since a rotation changes the next pair's d.
+    keep = []
+    prev = int(poles[0])
+    for j in poles[1:].tolist():
         if abs((d[j] - d[prev]) * z[j] * z[prev]) <= tol * (z[prev] ** 2 + z[j] ** 2):
             tau = math.hypot(z[prev], z[j])
             c, s = z[j] / tau, -z[prev] / tau
@@ -859,9 +834,12 @@ def _tridiag_dc(d: np.ndarray, e: np.ndarray,
     Cuppen's rank-one tears (Numer. Math. 36, 1981), rho == |beta| at each,
     halve the tridiagonal until every block has at most _NB rows. The
     blocks are solved together by one _tridiag_eigen call on the torn
-    tridiagonal against the identity: its zeros at the tears keep every QL
-    chase inside its block. The blocks are then merged bottom-up by _merge.
-    The QL iterations and the secular passes share the budget max_iter.
+    tridiagonal: its zeros at the tears keep every QL chase inside its
+    block. A block's eigenvector rows are zero outside its own columns, so
+    the call turns block-local rows: column j of row i stands for column
+    j of the block that holds row i. The blocks are then merged bottom-up
+    by _merge. The QL iterations and the secular passes share the budget
+    max_iter.
     """
     n = d.size
     d, e = d.copy(), e.copy()
@@ -871,9 +849,15 @@ def _tridiag_dc(d: np.ndarray, e: np.ndarray,
         d[mid - 1] -= abs(beta)
         d[mid] -= abs(beta)
         e[mid - 1] = 0.0
-    zt = np.eye(n)
+    cuts = [0] + sorted(mid for _, mid, _ in tears) + [n]
+    blocks = list(zip(cuts[:-1], cuts[1:]))
+    zt = np.zeros((n, max(hi - lo for lo, hi in blocks)))
+    for lo, hi in blocks:
+        zt[lo:hi, :hi - lo] = np.eye(hi - lo)
     d, total = _tridiag_eigen(d, e, zt, max_iter)
-    vecs = zt.T
+    vecs = np.zeros((n, n))
+    for lo, hi in blocks:
+        vecs[lo:hi, lo:hi] = zt[lo:hi, :hi - lo].T
     for (lo, mid, hi), beta in zip(reversed(tears), reversed(betas)):
         d[lo:hi], vecs[lo:hi, lo:hi], passes = _merge(d[lo:hi], vecs[lo:hi, lo:hi],
                                                       mid - lo, beta, max_iter - total)

@@ -100,7 +100,7 @@ def test_synth_rejects_nonpositive_snr():
         synth_epochs(seed=1, snr=0.0)
 
 
-@pytest.mark.parametrize("snr", [float("nan"), float("inf")])
+@pytest.mark.parametrize("snr", [float("nan"), float("inf"), "3", None, 3 + 0j])
 def test_synth_rejects_nonfinite_snr(snr):
     with pytest.raises(ValueError, match="finite"):
         synth_epochs(seed=1, snr=snr)

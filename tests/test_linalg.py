@@ -638,6 +638,37 @@ def test_schur_divide_and_conquer(name):
     _assert_schur(a, schur_decompose(a))
 
 
+@pytest.mark.parametrize("name", ["psd-65", "graded"])
+def test_schur_ql_blocks_turn_block_local_rows(name):
+    # Torn as _tridiag_dc tears it, psd-65 has blocks of 32, 16 and 17 rows
+    # and graded (90 rows) four blocks, two of them starting on odd rows.
+    # Rows that hold only their own block's columns must end as the n-wide
+    # identity rows do, bit for bit.
+    a = _dc_cases()[name]
+    n = a.shape[0]
+    t = hessenberg_reduce(a).t
+    d, e = np.diag(t).copy(), np.diag(t, -1).copy()
+    tears = linalg._tears(0, n)
+    for _, mid, _ in tears:
+        d[mid - 1:mid + 1] -= abs(e[mid - 1])
+        e[mid - 1] = 0.0
+    cuts = [0] + sorted(mid for _, mid, _ in tears) + [n]
+    blocks = list(zip(cuts[:-1], cuts[1:]))
+    wide = np.eye(n)
+    local = np.zeros((n, max(hi - lo for lo, hi in blocks)))
+    for lo, hi in blocks:
+        local[lo:hi, :hi - lo] = np.eye(hi - lo)
+    assert local.shape[1] < n
+    budget = linalg.EIGEN_ITER_FACTOR * n
+    d_wide, total_wide = linalg._tridiag_eigen(d, e, wide, budget)
+    d_local, total_local = linalg._tridiag_eigen(d, e, local, budget)
+    assert np.array_equal(d_local, d_wide)
+    assert total_local == total_wide
+    for lo, hi in blocks:
+        assert np.array_equal(local[lo:hi, :hi - lo], wide[lo:hi, lo:hi])
+        assert not wide[lo:hi, :lo].any() and not wide[lo:hi, hi:].any()
+
+
 def test_schur_secular_passes_count_against_the_budget(monkeypatch):
     # The blocks' QL iterations and the merges' secular passes share one
     # budget: set half an iteration below what psd-65 uses, the last
