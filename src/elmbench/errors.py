@@ -18,7 +18,7 @@ class NotSymmetric(LinAlgError):
 
 
 class NoConvergence(LinAlgError):
-    """An iterative factorization exhausted its sweep budget."""
+    """An iterative factorization exhausted its iteration budget."""
 
 
 class DimensionMismatch(ValueError):

@@ -27,7 +27,6 @@ from .errors import (
 # floored at LAPACK's safe minimum, is zero.
 PIVOT_RTOL = 1e-12
 SYMMETRY_RTOL = 1e-10
-SVD_MAX_SWEEPS = 60
 EIGEN_ITER_FACTOR = 100
 # Reflectors per compact-WY block of the Householder kernel. Of 16, 24, 32
 # and 48, 32 gave the fastest reduction at 5000x500 and was within timing
@@ -100,14 +99,15 @@ class SimilarityFactors:
 class SvdFactors:
     """Thin singular value decomposition a ~= u @ diag(sigma) @ v.T.
 
-    sweeps counts the Jacobi sweeps run (budget SVD_MAX_SWEEPS), the last
-    one being the sweep that found nothing left to rotate.
+    iterations counts the work against its budget of EIGEN_ITER_FACTOR *
+    2k, k the nonzero pivots, as Schur's: the QL iterations of the
+    Golub-Kahan tridiagonal's blocks plus the passes of its secular solves.
     """
 
     u: np.ndarray
     sigma: np.ndarray
     v: np.ndarray
-    sweeps: int = 0
+    iterations: int = 0
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Least-squares x for a @ x ~= b; RankDeficient below _zero_below(sigma[0])."""
@@ -417,7 +417,7 @@ def _apply_reflectors(blocks: list, n: int, top: np.ndarray) -> np.ndarray:
 
     Every orthogonal factor that is formed at all is formed here: q of
     hessenberg_reduce from top = identity, q of householder_qr from its
-    diagonal of signs, the SVD's u from its rotated triangular factor. The
+    diagonal of signs, the SVD's u and v from the bidiagonal's vectors. The
     blocks are applied last to first, block j0 to rows j0: as
     out -= v (t (v.T out)), reusing the v and t that the reduction built.
     When top is upper triangular, as a diagonal is, columns < j0 are still
@@ -611,7 +611,7 @@ def _tridiag_eigen(d: np.ndarray, e: np.ndarray, zt: np.ndarray,
             total += 1
             if total > max_iter:
                 raise NoConvergence(
-                    f"off-diagonal failed to deflate within {max_iter} sweeps")
+                    f"off-diagonal failed to deflate within {max_iter} iterations")
             g = (d[l + 1] - d[l]) / (2.0 * e[l])
             r = math.hypot(g, 1.0)
             g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
@@ -922,69 +922,52 @@ def tridiagonal_solve(t, b) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# One-sided Jacobi SVD
+# SVD by Golub-Kahan bidiagonalization
 # ---------------------------------------------------------------------------
 
-def _ring_shift(dst: np.ndarray, src: np.ndarray) -> None:
-    """Copy src, h pairs of slots, into dst one round on in Brent & Luk's ring order.
+def _orthonormal(half: np.ndarray) -> np.ndarray:
+    """q of half == q r (square) with diag(r) >= 0, by the Householder kernel.
 
-    Slot (0, 0) stays put. Every other slot takes the entry of the next one
-    round the ring (0, 1), (1, 0), (2, 0), ..., (h - 1, 0), (h - 1, 1),
-    (h - 2, 1), ..., (1, 1) (SIAM J. Sci. Stat. Comput. 6(1), 1985).
+    A column that is zero on and below the diagonal gets a zero reflector,
+    so q is orthonormal whatever half is.
     """
-    h = src.shape[0]
-    if h == 1:
-        dst[...] = src
-        return
-    dst[0, 0] = src[0, 0]
-    dst[1:h - 1, 0] = src[2:, 0]
-    dst[h - 1, 0] = src[h - 1, 1]
-    dst[1:, 1] = src[:h - 1, 1]
-    dst[0, 1] = src[1, 0]
+    work = half.copy()
+    blocks = _householder_reduce(work)
+    signs = np.where(np.diag(work) < 0.0, -1.0, 1.0)
+    return _apply_reflectors(blocks, work.shape[0], np.diag(signs))
 
 
 def svd(a) -> SvdFactors:
-    """Thin SVD by QR-LQ-preconditioned one-sided Jacobi in round-robin order.
+    """Thin SVD by Golub-Kahan bidiagonalization and tridiagonal divide and conquer.
 
     A wide matrix is factored through its transpose. A tall n x m matrix is
-    preconditioned by three Householder reductions, a square one by the last
-    two, since it is already m x m:
+    first reduced by the blocked reduction a == q r to its m x m triangular
+    factor r; a square one is already m x m. Then:
 
-    - the blocked reduction a == q r to its m x m triangular factor r;
     - a column-pivoted reduction r[:, perm] == qp rp (Businger & Golub,
-      "Linear least squares solutions by Householder transformations",
-      Numer. Math. 7, 1965). Since a[:, perm] == (q qp) rp, this is the
-      pivoted QR of a, while the tall reduction stays blocked;
-    - the LQ step, a reduction of rp.T == q2 r2, so rp == r2.T q2.T
-      (Drmac & Veselic, "New fast and accurate Jacobi SVD algorithm I",
-      SIMAX 29(4), 2008).
+      Numer. Math. 7, 1965). It gives |rp[j, j]| >= ||rp[j:, c]|| for
+      c > j, so a zero pivot leaves every later row of rp exactly zero.
+      Only the k rows above the first zero pivot go on; the trailing
+      m - k singular values are exact zeros;
+    - t == rp[:k].T, m x k, is bidiagonalized by reflectors on rows j:
+      from the left and on columns j + 1: from the right, t == pl [b; 0]
+      pr.T with b upper bidiagonal, diagonal d and superdiagonal f (Golub &
+      Kahan, SIAM J. Numer. Anal. 2(2), 1965);
+    - the 2k x 2k tridiagonal with zero diagonal and off-diagonal
+      (d0, f0, d1, f1, ...), divided by the power of two at or below its
+      largest entry, has eigenvalues +-sigma, and _tridiag_dc finds them
+      as it does Schur's. The eigenvector of +sigma holds v_b in its even
+      rows and u_b in its odd rows, with b v_b == sigma u_b;
+    - for close +- pairs the two halves lose orthogonality separately
+      (Willems, Lang & Vomel, SIMAX 28(3), 2006), so each half of the k
+      largest eigenpairs' vectors, columns in descending sigma, is replaced
+      by the q of its Householder QR. The halves are not normalized first:
+      a degenerate half still gives an orthonormal column.
 
-    The columns of r2.T are closer to orthogonal than those of r, and more
-    so with the pivoting, so fewer sweeps remain. They are then rotated
-    pairwise until no pair's cosine exceeds m * eps (dgesvj's stop), to
-    r2.T w == y diag(sigma). They are held as ceil(m / 2) adjacent pairs of
-    rows, an odd m padded by a zero row: a round rotates all its pairs
-    through views by one batched 2 x 2 product, and _ring_shift then moves
-    each column one slot round Brent & Luk's ring, with no gather or
-    scatter. Each round rotates the m columns of r2.T only:
-    the rotations w are not accumulated, but recovered after the sweeps by
-    one triangular solve, w == r2.T^-1 y diag(sigma), since r2.T is lower
-    triangular (the "V by a triangular solve" of Drmac & Veselic). The
-    column norms become the singular values (sorted descending). The
-    normalized columns y are mapped back through qp's and then q's
-    reflectors to give u; w is mapped through q2's reflectors and its rows
-    put back in the order of a's columns to give v. Columns whose singular
-    value is below _zero_below(sigma[0]), where solve refuses, sort last;
-    they are completed to an orthonormal basis from the same reflector
-    kernel, so u always has orthonormal columns.
-
-    An exactly rank-deficient a needs no second path. The pivoting gives
-    |rp[j, j]| >= ||rp[j:, k]|| for k > j, so a zero pivot leaves every
-    later row of rp zero, and those columns of rp.T, and so of r2, stay
-    exactly zero through the LQ step. The zero diagonal entries of r2 thus
-    trail, r2 == diag(r2_11, 0) with r2_11 nonsingular, and Jacobi never
-    rotates a zero column, so w == diag(w_11, I). The solve runs on the
-    r2_11 block only.
+    Since a[:, perm] == q qp rp and rp[:k] == pr v_b diag(sigma) u_b.T
+    pl[:, :k].T, u is q qp diag(pr v_b, I) and v[perm] is pl diag(u_b, I).
+    iterations counts the QL iterations and the secular passes, against
+    one budget of EIGEN_ITER_FACTOR * 2k; past it NoConvergence is raised.
     """
     a = as_matrix(a, "a")
     wide = a.shape[0] < a.shape[1]
@@ -994,83 +977,37 @@ def svd(a) -> SvdFactors:
     blocks = _householder_reduce(a) if n > m else []
     r = np.triu(a[:m]) if blocks else a
     pivot_blocks, perm = _pivoted_reduce(r)
-    # r now holds rp. The LQ step reduces rp.T, so the columns of r2.T that
-    # Jacobi rotates come out as the rows of r2, the upper triangle of rt.
-    rt = np.ascontiguousarray(np.triu(r).T)
-    blocks2 = _householder_reduce(rt)
-    # Pair k starts with columns k and ring - k, pair 0 with ring (the pad
-    # when m is odd) and 0; every ring rounds bring each column back there.
-    # Each slot's squared norm rides in its last entry, so _ring_shift moves
-    # it with its row; the batched product garbles it, and the exact update
-    # replaces it.
-    h = (m + 1) // 2
-    ring = 2 * h - 1
-    start = np.column_stack((np.arange(h), (ring - np.arange(h)) % ring))
-    start[0, 0] = ring
-    slot = np.argsort(start, axis=None)[:m]  # column c sits in slot[c]
-    pairs = np.zeros((h, 2, m + 1))
-    pairs.reshape(2 * h, m + 1)[slot, :m] = np.triu(rt)
-    spare = np.empty_like(pairs)
-    rot = np.empty((h, 2, 2))
-    tol2 = (m * np.finfo(float).eps) ** 2
-    signs = np.array([-1.0, 1.0])
-    for sweep in range(SVD_MAX_SWEEPS):
-        # Squared norms are refreshed once per sweep, then tracked through
-        # the exact rotation update.
-        pairs[..., m] = np.einsum("ijk,ijk->ij", pairs[..., :m], pairs[..., :m])
-        rotated = False
-        for _ in range(ring):
-            npp, nqq = pairs[:, 0, m], pairs[:, 1, m]
-            g = np.einsum("ij,ij->i", pairs[:, 0, :m], pairs[:, 1, :m])
-            # A pair whose squared norms multiply to zero, if only by
-            # underflow, is numerically zero and never rotates; the rest
-            # rotate while their cosine exceeds m * eps.
-            prod = npp * nqq
-            live = (prod > 0.0) & (g * g > tol2 * prod)
-            if np.count_nonzero(live):
-                rotated = True
-                tau = (nqq - npp) / (2.0 * np.where(live, g, 1.0))
-                at = np.abs(tau)
-                t = np.copysign(live / (at + np.hypot(1.0, at)), tau)  # 0 if dead
-                c = 1.0 / np.hypot(1.0, t)
-                rot.reshape(h, 4)[:, ::3] = c[:, None]  # rot[k] = [[c, -s], [s, c]]
-                rot.reshape(h, 4)[:, 1:3] = (c * t)[:, None] * signs
-                np.matmul(rot, pairs, out=spare)
-                spare[..., m] = np.maximum(pairs[..., m] + (t * g)[:, None] * signs, 0.0)
-            else:
-                pairs, spare = spare, pairs
-            _ring_shift(pairs, spare)
-        if not rotated:
-            break
-    else:
-        raise NoConvergence(f"columns not orthogonal after {SVD_MAX_SWEEPS} sweeps")
-    rows = pairs.reshape(2 * h, m + 1)[slot, :m]
-    sigma_all = np.sqrt(np.einsum("ij,ij->i", rows, rows))
-    order = np.argsort(sigma_all)[::-1]
-    sigma = sigma_all[order]
-    # w[:, order] from r2.T w == y, solved on the leading k x k block of r2.T,
-    # whose diagonal is nonzero. Past it r2 is exactly zero (see the
-    # docstring), so those columns were never rotated and their rows of w
-    # are identity rows.
-    k = int(np.count_nonzero(np.diag(rt)))
-    w = np.empty((m, m))
-    w[:k] = _substitute(np.ascontiguousarray(rt[:k, :k].T),
-                        np.ascontiguousarray(rows[order, :k].T), lower=True)
-    w[k:] = np.eye(m)[k:, order]
-    v = np.empty((m, m))
-    v[perm] = _apply_reflectors(blocks2, m, w)
-    u_r = np.zeros((m, m))
-    live = int(np.count_nonzero(sigma >= _zero_below(sigma[0])))
-    u_r[:, :live] = rows[order[:live]].T / sigma[:live]
-    if live < m:
-        # The trailing columns of the reflector product that triangularizes
-        # the live block span its orthogonal complement.
-        fill = _householder_reduce(u_r[:, :live].copy())
-        u_r[:, live:] = _apply_reflectors(fill, m, np.eye(m))[:, live:]
+    # An all-zero rp still bidiagonalizes one zero column, to sigma == 0.
+    k = max(int(np.count_nonzero(np.diag(r))), 1)
+    t = np.ascontiguousarray(np.triu(r)[:k].T)
+    # Right reflector j acts on columns j + 1:, so it is stored at index j + 1.
+    left, right = [], [np.zeros(k)]
+    for j in range(k):
+        v = _reflector(t[j:, j])
+        rest = t[j:, j:]
+        rest -= np.outer(v, 2.0 * (v @ rest))
+        left.append(v)
+        if j < k - 1:
+            w = _reflector(t[j, j + 1:])
+            rest = t[j:, j + 1:]
+            rest -= np.outer(2.0 * (rest @ w), w)
+            right.append(w)
+    e = np.empty(2 * k - 1)
+    e[0::2], e[1::2] = np.diag(t), np.diag(t, 1)
+    e_scale = _unit_scale(e)
+    lam, vecs, iterations = _tridiag_dc(np.zeros(2 * k), e, EIGEN_ITER_FACTOR * 2 * k)
+    top = np.argsort(lam)[::-1][:k]
+    u_r, v_r = np.eye(m), np.eye(m)
+    u_r[:k, :k] = _apply_reflectors(_wy_blocks(right, k), k, _orthonormal(vecs[0::2, top]))
+    v_r[:k, :k] = _orthonormal(vecs[1::2, top])
     u = _apply_reflectors(blocks, n, _apply_reflectors(pivot_blocks, m, u_r))
+    v = np.empty((m, m))
+    v[perm] = _apply_reflectors(_wy_blocks(left, m), m, v_r)
+    sigma = np.zeros(m)
+    sigma[:k] = lam[top] * e_scale * scale
     if wide:
         u, v = v, u
-    return SvdFactors(u=u, sigma=sigma * scale, v=v, sweeps=sweep + 1)
+    return SvdFactors(u=u, sigma=sigma, v=v, iterations=iterations)
 
 
 # ---------------------------------------------------------------------------

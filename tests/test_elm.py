@@ -366,7 +366,7 @@ def test_underflowed_ridge_normal_matrix_raises(solve, exact, kind):
 
 def test_routes_agree_with_hh_qr_on_a_well_conditioned_h():
     # cond(h) is 6.1, so every route's weights sit within a few eps of
-    # hh-qr's; the SVD's eps-relative stop leaves no larger rotation undone.
+    # hh-qr's.
     rng = np.random.default_rng(0)
     h = rng.uniform(size=(40, 5))
     t = rng.uniform(size=40)

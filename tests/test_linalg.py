@@ -681,7 +681,6 @@ def test_schur_secular_passes_count_against_the_budget(monkeypatch):
         schur_decompose(a)
 
 
-@pytest.mark.slow
 def test_schur_divide_and_conquer_at_width_500():
     # 500 rows tear into 16 blocks of 31 or 32: four levels of merges on a
     # sigmoid Gram matrix whose eigenvalues spread over many decades.
@@ -694,8 +693,9 @@ def test_solver_work_counts():
     a = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]])
     assert 0 < schur_decompose(a).iterations <= linalg.EIGEN_ITER_FACTOR * 3
     assert hessenberg_reduce(a).iterations == 0
-    # A diagonal matrix has orthogonal columns: one sweep finds that.
-    assert svd(np.diag([3.0, 2.0, 1.0])).sweeps == 1
+    # Even a diagonal matrix's Golub-Kahan tridiagonal has a zero diagonal,
+    # so each of its 2 x 2 blocks takes a QL iteration.
+    assert 0 < svd(np.diag([3.0, 2.0, 1.0])).iterations <= linalg.EIGEN_ITER_FACTOR * 6
 
 
 def test_schur_rejects_asymmetric():
@@ -796,19 +796,16 @@ def test_svd_wide_matrix():
     assert fro(a - f.u @ np.diag(f.sigma) @ f.v.T) <= 1e-10 * fro(a)
 
 
-def test_svd_sweeps_on_hidden_and_ridge_matrices():
-    # QR, pivoted QR, then LQ leaves 7 sweeps on each of these matrices;
-    # QR then LQ without pivoting left 8 on each, and QR alone took 11 on h
-    # and 13 on the ridge normal matrix. The m * eps stop keeps u orthonormal
-    # to about 1e-13 within those 7 sweeps; a stop at sqrt(m) * eps took the
-    # ridge matrix to 8.
+def test_svd_iterations_on_hidden_and_ridge_matrices():
+    # Both matrices have full rank 50, so the Golub-Kahan tridiagonal is
+    # 100 x 100 and its budget EIGEN_ITER_FACTOR * 100.
     x = np.random.default_rng(3).uniform(0.0, 1.0, (200, 16))
     cfg = ElmConfig(hidden_neurons=50, rng_seed=3)
     weights, biases = init_random_layer(cfg, 16)
     h = hidden_output(x, weights, biases, cfg.activation)
     for a in (h, h.T @ h + 0.1 * np.eye(50)):
         f = svd(a)
-        assert f.sweeps <= 7
+        assert 0 < f.iterations <= linalg.EIGEN_ITER_FACTOR * 100
         assert fro(f.u.T @ f.u - np.eye(50)) <= 1e-12
 
 
@@ -825,7 +822,7 @@ def _run_one_blas_thread(script):
     return json.loads(run.stdout)
 
 
-_ERP_CV_SWEEPS = """
+_ERP_CV_SVD = """
 import json
 import numpy as np
 from elmbench import (ElmConfig, apply_normalizer, fit_normalizer, grand_average,
@@ -839,22 +836,19 @@ for train_idx, _ in session_kfold(12, 6, 12, n_samples=864).folds:
     h = hidden_output(x, weights, biases, cfg.activation)
     for a in (h, h.T @ h + 0.1 * np.eye(100)):
         f = svd(a)
-        out.append((f.sweeps, float(np.linalg.norm(f.u.T @ f.u - np.eye(100)))))
+        out.append((f.iterations, float(np.linalg.norm(f.u.T @ f.u - np.eye(100)))))
 print(json.dumps(out))
 """
 
 
-def test_svd_sweeps_on_the_erp_cv_folds():
+def test_svd_iterations_on_the_erp_cv_folds():
     # The benchmark's erp-cv shape: the 792 x 100 h of each of the 12 folds
-    # (seed 7) and its ridge-leverage normal matrix. Each takes 7 or 8
-    # sweeps in Brent & Luk's order; an ordering that needs more sweeps,
-    # and so more time per solve, fails here. Sweep counts move with
-    # round-off, and OpenBLAS's bits with its thread count (fold 7's h takes
-    # 9 sweeps on two threads).
-    results = _run_one_blas_thread(_ERP_CV_SWEEPS)
+    # (seed 7) and its ridge-leverage normal matrix, each of full rank, so
+    # each Golub-Kahan tridiagonal is 200 x 200.
+    results = _run_one_blas_thread(_ERP_CV_SVD)
     assert len(results) == 24
-    for sweeps, orthogonality in results:
-        assert sweeps <= 8
+    for iterations, orthogonality in results:
+        assert 0 < iterations <= linalg.EIGEN_ITER_FACTOR * 200
         assert orthogonality <= 1e-12
 
 
@@ -892,11 +886,10 @@ def test_schur_on_the_erp_cv_folds():
         assert orthogonality <= 1e-12
 
 
-@pytest.mark.slow
 def test_svd_orthogonality_at_the_widest_erp_layer():
     # Criterion 03 holds ||U^T U - I|| to 1e-10 on inputs up to 200 x 200;
     # this holds the same bound on the 792 x 780 sigmoid h of erp-cv fold 0,
-    # nearly as wide as the fold's 792 training rows allow, in about 20 s.
+    # nearly as wide as the fold's 792 training rows allow.
     features = grand_average(synth_epochs(seed=7, snr=0.5))
     train_idx, _ = session_kfold(12, 6, 12, n_samples=864).folds[0]
     x = features[train_idx]
@@ -916,8 +909,8 @@ def _sigmoid_hidden(rows, width, seed):
 
 @pytest.mark.parametrize("matrix", ["hidden", "ridge-gram"])
 def test_svd_invariants_at_400x200(matrix):
-    # Wider than the property sweep: v comes from a 200 x 200 triangular
-    # solve after nine sweeps.
+    # Wider than the property sweep: a 400 x 400 Golub-Kahan tridiagonal,
+    # torn into 16 blocks and merged in four levels.
     h = _sigmoid_hidden(400, 200, 21)
     a = h if matrix == "hidden" else h.T @ h + 1e-3 * np.eye(200)
     f = svd(a)
@@ -945,8 +938,8 @@ EXACTLY_RANK_DEFICIENT = {
 
 @pytest.mark.parametrize("case", EXACTLY_RANK_DEFICIENT)
 def test_svd_exact_rank_deficiency(case):
-    # r2 has exactly zero trailing rows here, so v is solved on its leading
-    # block only and completed by identity rows.
+    # rp has exactly zero trailing rows here, so only its leading rows are
+    # bidiagonalized and v is completed by the left reflectors' columns.
     a = EXACTLY_RANK_DEFICIENT[case]
     f = svd(a)
     null = f.sigma == 0.0
@@ -973,8 +966,9 @@ def test_svd_square_singular_psd_gives_an_exact_zero():
 
 
 def test_square_svd_skips_the_tall_reduction(monkeypatch):
-    # A square a is already m x m, so only the LQ step reduces it by
-    # _householder_reduce; a tall a is reduced to m x m first.
+    # A square a is already m x m; a tall a is reduced to m x m first. Every
+    # other _householder_reduce call makes a half of the tridiagonal's
+    # eigenvectors orthonormal, m x m here.
     calls = []
     reduce = linalg._householder_reduce
 
@@ -985,9 +979,10 @@ def test_square_svd_skips_the_tall_reduction(monkeypatch):
     monkeypatch.setattr(linalg, "_householder_reduce", counted)
     a = np.random.default_rng(61).standard_normal((9, 6))
     svd(a)
-    tall = len(calls)
+    tall, calls[:] = calls[:], []
     svd(a[:6])
-    assert (tall, len(calls) - tall) == (2, 1)
+    assert calls == [(6, 6), (6, 6)]
+    assert tall == [(9, 6)] + calls
 
 
 def test_reflector_of_a_column_whose_square_underflows():
@@ -1005,47 +1000,23 @@ def test_reflector_of_a_column_whose_square_underflows():
 
 def test_svd_pairs_whose_norms_underflow_never_rotate():
     # The trailing block sits 1e-100 below the leading entry, so the
-    # product of two of its squared column norms underflows to zero. Such a
-    # pair is numerically zero and must not rotate: no rotation brings its
-    # cosine, measured against a zero product, under the stop, so the
-    # sweeps would run out.
+    # product of two of its squared column norms underflows to zero. Its
+    # singular values must still come out to full relative accuracy,
+    # against numpy's on the block scaled up by a power of two, not as
+    # column norms that no rotation ever touched.
     a = np.zeros((8, 6))
     a[0, 0] = 1.0
     a[1:, 1:] = 1e-100 * np.random.default_rng(67).standard_normal((7, 5))
     f = svd(a)
-    assert f.sigma[0] == 1.0
+    ref = np.append(1.0, np.linalg.svd(a[1:, 1:] * 2.0 ** 332, compute_uv=False) * 2.0 ** -332)
+    assert np.all(np.abs(f.sigma - ref) <= 1e-12 * ref)
     assert fro(f.u.T @ f.u - np.eye(6)) <= 1e-13
     assert fro(f.v.T @ f.v - np.eye(6)) <= 1e-13
     assert fro(a - f.u @ np.diag(f.sigma) @ f.v.T) <= 1e-14 * fro(a)
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 5, 100, 101])
-def test_svd_round_robin_meets_every_pair_once(m):
-    # svd's start layout with integer column ids: pair k holds k and
-    # ring - k, pair 0 holds ring (the pad when m is odd) and 0.
-    h = (m + 1) // 2
-    ring = 2 * h - 1
-    layout = np.column_stack((np.arange(h), (ring - np.arange(h)) % ring))
-    layout[0, 0] = ring
-    start = layout.copy()
-    met = []
-    for r in range(ring):
-        assert layout[0, 0] == ring  # the fixed slot never moves
-        assert sorted(layout.ravel()) == list(range(2 * h))  # disjoint pairs
-        # Brent & Luk's round r: ring with r, and r + k with r - k mod ring.
-        want = {frozenset((ring, r))} | {frozenset(((r + k) % ring, (r - k) % ring))
-                                         for k in range(1, h)}
-        assert {frozenset(p) for p in layout.tolist()} == want
-        met += [tuple(sorted(p)) for p in layout.tolist() if max(p) < m]
-        shifted = np.empty_like(layout)
-        linalg._ring_shift(shifted, layout)
-        layout = shifted
-    assert np.array_equal(layout, start)  # a sweep ends where it began
-    assert sorted(met) == [(i, j) for i in range(m) for j in range(i + 1, m)]
-
-
-def test_svd_sweep_budget_raises(monkeypatch):
-    monkeypatch.setattr(linalg, "SVD_MAX_SWEEPS", 1)
+def test_svd_iteration_budget_raises(monkeypatch):
+    monkeypatch.setattr(linalg, "EIGEN_ITER_FACTOR", 0)
     with pytest.raises(NoConvergence):
         svd(np.random.default_rng(15).standard_normal((30, 10)))
 
