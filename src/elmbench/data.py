@@ -111,9 +111,11 @@ def write_csv(dataset: Dataset, path) -> None:
     (session, run, image) order. What load_csv would refuse is refused here
     too, before any file is written: a non-finite feature or a layout value
     that is not a whole number in int64 raises SchemaError, and a label
-    outside {0, 1} raises InvalidLabel. Labels and layout are written as
-    integers.
+    outside {0, 1} raises InvalidLabel, and complex features raise
+    ValueError. Labels and layout are written as integers.
     """
+    if np.iscomplexobj(dataset.features):
+        raise ValueError("dataset.features must be real, got complex entries")
     feats = np.asarray(dataset.features, dtype=float)
     if feats.ndim != 2 or feats.shape[1] < 1:
         raise SchemaError("dataset must have at least one feature column")

@@ -80,9 +80,9 @@ class QrFactors:
 class SimilarityFactors:
     """Orthogonal similarity a == q @ t @ q.T.
 
-    iterations counts Schur's work against its budget of
-    EIGEN_ITER_FACTOR * n: the QL iterations of its blocks plus the passes
-    of its secular-equation solves; a direct reduction reports 0.
+    iterations counts Schur's work as _tridiag_dc counts it, against
+    _tridiag_dc's budget for the n x n tridiagonal; a direct reduction
+    reports 0.
     """
 
     q: np.ndarray
@@ -99,9 +99,9 @@ class SimilarityFactors:
 class SvdFactors:
     """Thin singular value decomposition a ~= u @ diag(sigma) @ v.T.
 
-    iterations counts the work against its budget of EIGEN_ITER_FACTOR *
-    2k, k the nonzero pivots, as Schur's: the QL iterations of the
-    Golub-Kahan tridiagonal's blocks plus the passes of its secular solves.
+    iterations counts the work as _tridiag_dc counts it, against
+    _tridiag_dc's budget for the 2k x 2k Golub-Kahan tridiagonal, k the
+    nonzero pivots.
     """
 
     u: np.ndarray
@@ -123,11 +123,13 @@ def _by_row(d: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Validate and copy input into a C-ordered 2-D float64 array with finite entries.
+    """Validate and copy input into a C-ordered 2-D float64 array with finite real entries.
 
     The factorizations work in place on this copy, so their results do not
     depend on the input's memory order.
     """
+    if np.iscomplexobj(a):  # a float cast would keep the real part only
+        raise ValueError(f"{name} must be real, got complex entries")
     m = np.array(a, dtype=float, order="C")
     if m.ndim != 2:
         raise DimensionMismatch(f"{name} must be 2-D, got {m.ndim}-D")
@@ -139,7 +141,9 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 
 
 def as_vector(v, name: str = "vector") -> np.ndarray:
-    """Validate and copy input into a 1-D float64 array with finite entries."""
+    """Validate and copy input into a 1-D float64 array with finite real entries."""
+    if np.iscomplexobj(v):
+        raise ValueError(f"{name} must be real, got complex entries")
     w = np.array(v, dtype=float)
     if w.ndim != 1:
         raise DimensionMismatch(f"{name} must be 1-D, got {w.ndim}-D")
@@ -460,6 +464,18 @@ class _HouseholderFactors:
         return backward_substitute(self.r, qtb[:m])
 
 
+def _householder_factors(work: np.ndarray, scale: float = 1.0) -> _HouseholderFactors:
+    """Reduce work (rows >= cols) in place; its factors, r times scale, with diag(r) >= 0.
+
+    A column already zero on and below the diagonal gets a zero reflector,
+    so q is orthonormal whatever work is.
+    """
+    blocks = _householder_reduce(work)
+    r = np.triu(work[:work.shape[1]]) * scale
+    signs = np.where(np.diag(r) < 0.0, -1.0, 1.0)
+    return _HouseholderFactors(blocks=blocks, r=r * signs[:, None], signs=signs)
+
+
 def householder_qr(a) -> _HouseholderFactors:
     """Thin QR by blocked (compact-WY) Householder reflections, a with rows >= cols.
 
@@ -472,16 +488,13 @@ def householder_qr(a) -> _HouseholderFactors:
     _zero_below that column's norm in a.
     """
     a, scale, floor = _tall_work(a)
-    n, m = a.shape
-    blocks = _householder_reduce(a)
-    r = np.triu(a[:m, :m]) * scale
-    # |r[j, j]| is the norm column j had on and below the diagonal when it
+    factors = _householder_factors(a, scale)
+    # r[j, j] is the norm column j had on and below the diagonal when it
     # was reflected.
-    collapsed = np.flatnonzero(np.abs(np.diag(r)) < floor)
+    collapsed = np.flatnonzero(np.diag(factors.r) < floor)
     if collapsed.size:
         raise RankDeficient(f"column {collapsed[0]} collapsed during reflection")
-    signs = np.where(np.diag(r) < 0.0, -1.0, 1.0)
-    return _HouseholderFactors(blocks=blocks, r=r * signs[:, None], signs=signs)
+    return factors
 
 
 def triangular_inverse(r) -> np.ndarray:
@@ -586,7 +599,6 @@ def _tridiag_eigen(d: np.ndarray, e: np.ndarray, zt: np.ndarray,
     performance" (ACM TOMS 40(3), 2014).
     """
     n = d.size
-    eps = float(np.finfo(float).eps)
     d, e = d.tolist(), e.tolist() + [0.0]
     depth = [0] * n
     # Rotation j is in layer layer_of[j] and turns rows row_of[j] and
@@ -603,7 +615,7 @@ def _tridiag_eigen(d: np.ndarray, e: np.ndarray, zt: np.ndarray,
         while True:
             m = l
             while m < n - 1:
-                if abs(e[m]) <= eps * (abs(d[m]) + abs(d[m + 1])):
+                if abs(e[m]) <= _EPS * (abs(d[m]) + abs(d[m + 1])):
                     break
                 m += 1
             if m == l:
@@ -768,7 +780,7 @@ def _secular_roots(d: np.ndarray, z: np.ndarray, rho: float,
         step = _two_pole_step(f - dp * psi - dq * phi, dp * dp * psi, dq * dq * phi,
                               dp, dq, tau, lo, hi)
         tau = np.where(live, step, tau)
-    return d[origin] + tau, (base - tau[:, None]).T, passes
+    return d[origin] + tau, delta.T, passes
 
 
 def _merge(d: np.ndarray, vecs: np.ndarray, split: int, beta: float,
@@ -827,9 +839,16 @@ def _merge(d: np.ndarray, vecs: np.ndarray, split: int, beta: float,
     return d, vecs, passes
 
 
-def _tridiag_dc(d: np.ndarray, e: np.ndarray,
-                max_iter: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Eigenvalues and eigenvector columns of the tridiagonal (d, e), by divide and conquer.
+def _tridiag_dc(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Eigenpairs of the symmetric tridiagonal with diagonal d and off-diagonal e.
+
+    The one entry to the tridiagonal eigenproblem, for Schur and the SVD
+    (as LAPACK's dstedc). (d, e) is divided by _unit_scale first, so the
+    secular equations neither overflow nor underflow. Returns the
+    eigenvalues, scaled back, in descending order; the matching
+    eigenvector columns; and the work, the QL iterations plus the secular
+    passes, against one budget of EIGEN_ITER_FACTOR * n, past which
+    NoConvergence is raised.
 
     Cuppen's rank-one tears (Numer. Math. 36, 1981), rho == |beta| at each,
     halve the tridiagonal until every block has at most _NB rows. The
@@ -838,18 +857,19 @@ def _tridiag_dc(d: np.ndarray, e: np.ndarray,
     block. A block's eigenvector rows are zero outside its own columns, so
     the call turns block-local rows: column j of row i stands for column
     j of the block that holds row i. The blocks are then merged bottom-up
-    by _merge. The QL iterations and the secular passes share the budget
-    max_iter.
+    by _merge.
     """
     n = d.size
-    d, e = d.copy(), e.copy()
-    tears = _tears(0, n)
-    betas = [float(e[mid - 1]) for _, mid, _ in tears]
-    for (_, mid, _), beta in zip(tears, betas):
+    de = np.concatenate((d, e))
+    scale = _unit_scale(de)
+    d, e = de[:n], de[n:]
+    max_iter = EIGEN_ITER_FACTOR * n
+    tears = [(lo, mid, hi, float(e[mid - 1])) for lo, mid, hi in _tears(0, n)]
+    for _, mid, _, beta in tears:
         d[mid - 1] -= abs(beta)
         d[mid] -= abs(beta)
         e[mid - 1] = 0.0
-    cuts = [0] + sorted(mid for _, mid, _ in tears) + [n]
+    cuts = [0] + sorted(mid for _, mid, _, _ in tears) + [n]
     blocks = list(zip(cuts[:-1], cuts[1:]))
     zt = np.zeros((n, max(hi - lo for lo, hi in blocks)))
     for lo, hi in blocks:
@@ -858,36 +878,26 @@ def _tridiag_dc(d: np.ndarray, e: np.ndarray,
     vecs = np.zeros((n, n))
     for lo, hi in blocks:
         vecs[lo:hi, lo:hi] = zt[lo:hi, :hi - lo].T
-    for (lo, mid, hi), beta in zip(reversed(tears), reversed(betas)):
+    for lo, mid, hi, beta in reversed(tears):
         d[lo:hi], vecs[lo:hi, lo:hi], passes = _merge(d[lo:hi], vecs[lo:hi, lo:hi],
                                                       mid - lo, beta, max_iter - total)
         total += passes
-    return d, vecs, total
+    order = np.argsort(d)[::-1]
+    return d[order] * scale, vecs[:, order], total
 
 
 def schur_decompose(a) -> SimilarityFactors:
     """Real Schur form of a symmetric (PSD in practice) matrix.
 
     Tridiagonalizes with Householder reflectors, then finds the
-    tridiagonal's eigenpairs by divide and conquer (_tridiag_dc): blocks of
-    at most _NB rows by shifted QL iterations, in which an off-diagonal
-    entry deflates below eps times the sum of its two diagonal neighbours,
-    merged by rank-one updates. q is the reduction's q times the
-    tridiagonal's eigenvectors. The tridiagonal is divided by the power of
-    two at or below its largest entry first, so the secular equations
-    neither overflow nor underflow. t is diagonal with eigenvalues in
-    descending order; q columns are permuted to match. iterations counts
-    the QL iterations and the secular passes, against one budget of
-    EIGEN_ITER_FACTOR * n; past it NoConvergence is raised.
+    tridiagonal's eigenpairs by divide and conquer, _tridiag_dc, whose
+    scale, budget and order rules hold here. t is diagonal with the
+    eigenvalues in descending order, and q is the reduction's q times the
+    matching eigenvectors.
     """
     base = hessenberg_reduce(a)
-    n = base.t.shape[0]
-    de = np.concatenate((np.diag(base.t), np.diag(base.t, -1)))
-    scale = _unit_scale(de)
-    d, vecs, iterations = _tridiag_dc(de[:n], de[n:], EIGEN_ITER_FACTOR * n)
-    order = np.argsort(d)[::-1]
-    return _SchurFactors(q=base.q @ vecs[:, order], t=np.diag(d[order] * scale),
-                         iterations=iterations)
+    d, vecs, iterations = _tridiag_dc(np.diag(base.t), np.diag(base.t, -1))
+    return _SchurFactors(q=base.q @ vecs, t=np.diag(d), iterations=iterations)
 
 
 def tridiagonal_solve(t, b) -> np.ndarray:
@@ -925,18 +935,6 @@ def tridiagonal_solve(t, b) -> np.ndarray:
 # SVD by Golub-Kahan bidiagonalization
 # ---------------------------------------------------------------------------
 
-def _orthonormal(half: np.ndarray) -> np.ndarray:
-    """q of half == q r (square) with diag(r) >= 0, by the Householder kernel.
-
-    A column that is zero on and below the diagonal gets a zero reflector,
-    so q is orthonormal whatever half is.
-    """
-    work = half.copy()
-    blocks = _householder_reduce(work)
-    signs = np.where(np.diag(work) < 0.0, -1.0, 1.0)
-    return _apply_reflectors(blocks, work.shape[0], np.diag(signs))
-
-
 def svd(a) -> SvdFactors:
     """Thin SVD by Golub-Kahan bidiagonalization and tridiagonal divide and conquer.
 
@@ -954,10 +952,10 @@ def svd(a) -> SvdFactors:
       pr.T with b upper bidiagonal, diagonal d and superdiagonal f (Golub &
       Kahan, SIAM J. Numer. Anal. 2(2), 1965);
     - the 2k x 2k tridiagonal with zero diagonal and off-diagonal
-      (d0, f0, d1, f1, ...), divided by the power of two at or below its
-      largest entry, has eigenvalues +-sigma, and _tridiag_dc finds them
-      as it does Schur's. The eigenvector of +sigma holds v_b in its even
-      rows and u_b in its odd rows, with b v_b == sigma u_b;
+      (d0, f0, d1, f1, ...) has eigenvalues +-sigma, and _tridiag_dc finds
+      them as it does Schur's, under its scale, budget and order rules.
+      The eigenvector of +sigma holds v_b in its even rows and u_b in its
+      odd rows, with b v_b == sigma u_b;
     - for close +- pairs the two halves lose orthogonality separately
       (Willems, Lang & Vomel, SIMAX 28(3), 2006), so each half of the k
       largest eigenpairs' vectors, columns in descending sigma, is replaced
@@ -966,8 +964,6 @@ def svd(a) -> SvdFactors:
 
     Since a[:, perm] == q qp rp and rp[:k] == pr v_b diag(sigma) u_b.T
     pl[:, :k].T, u is q qp diag(pr v_b, I) and v[perm] is pl diag(u_b, I).
-    iterations counts the QL iterations and the secular passes, against
-    one budget of EIGEN_ITER_FACTOR * 2k; past it NoConvergence is raised.
     """
     a = as_matrix(a, "a")
     wide = a.shape[0] < a.shape[1]
@@ -994,17 +990,17 @@ def svd(a) -> SvdFactors:
             right.append(w)
     e = np.empty(2 * k - 1)
     e[0::2], e[1::2] = np.diag(t), np.diag(t, 1)
-    e_scale = _unit_scale(e)
-    lam, vecs, iterations = _tridiag_dc(np.zeros(2 * k), e, EIGEN_ITER_FACTOR * 2 * k)
-    top = np.argsort(lam)[::-1][:k]
+    lam, vecs, iterations = _tridiag_dc(np.zeros(2 * k), e)
     u_r, v_r = np.eye(m), np.eye(m)
-    u_r[:k, :k] = _apply_reflectors(_wy_blocks(right, k), k, _orthonormal(vecs[0::2, top]))
-    v_r[:k, :k] = _orthonormal(vecs[1::2, top])
+    # Contiguous copies: the reduction's bits depend on its input's layout.
+    u_r[:k, :k] = _apply_reflectors(_wy_blocks(right, k), k,
+                                    _householder_factors(vecs[0::2, :k].copy()).q)
+    v_r[:k, :k] = _householder_factors(vecs[1::2, :k].copy()).q
     u = _apply_reflectors(blocks, n, _apply_reflectors(pivot_blocks, m, u_r))
     v = np.empty((m, m))
     v[perm] = _apply_reflectors(_wy_blocks(left, m), m, v_r)
     sigma = np.zeros(m)
-    sigma[:k] = lam[top] * e_scale * scale
+    sigma[:k] = lam[:k] * scale
     if wide:
         u, v = v, u
     return SvdFactors(u=u, sigma=sigma, v=v, iterations=iterations)

@@ -111,7 +111,12 @@ def session_kfold(n_sessions: int = 12, runs_per_session: int = 6,
 
 
 def grand_average(epochs: EpochSet) -> np.ndarray:
-    """Per-trial mean over channels: (trials, samples) feature matrix."""
+    """Per-trial mean over channels: (trials, samples) feature matrix.
+
+    Complex epoch data raises ValueError.
+    """
+    if np.iscomplexobj(epochs.data):
+        raise ValueError("epochs.data must be real, got complex entries")
     data = np.asarray(epochs.data, dtype=float)
     if data.ndim != 3:
         raise DimensionMismatch(f"epoch data must be 3-D, got {data.ndim}-D")

@@ -347,6 +347,18 @@ def test_evaluate_rejects_header_only_file(tmp_path, capsys):
     assert "no data rows" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("\n  \n\n", "empty file"),
+    ("session,run,image,label,f1\n0,0,0,1,1.0\n", "feature columns must be f0..f0"),
+], ids=["blank-lines", "feature-names"])
+def test_evaluate_rejects_blank_files_and_misnamed_features(tmp_path, capsys, text,
+                                                            message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    assert main(["evaluate", str(path), "--repeats", "1"]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_evaluate_repeated_solver(tmp_path, capsys):
     path = _tiny_dataset(tmp_path)
     assert main(["evaluate", str(path), "--solvers", "svd,lu,svd",

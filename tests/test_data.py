@@ -197,6 +197,17 @@ def test_csv_no_features(tmp_path):
         load_csv(path)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("\n  \n\n", "empty file"),
+    ("session,run,image,label,f0,f2\n0,0,0,1,1.0,2.0\n", "feature columns must be f0..f1"),
+], ids=["blank-lines", "feature-names"])
+def test_csv_refuses_blank_files_and_misnamed_features(tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(SchemaError, match=message):
+        load_csv(path)
+
+
 def test_csv_rejects_header_only_file(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("session,run,image,label,f0,f1\n")

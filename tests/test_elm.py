@@ -20,6 +20,7 @@ from elmbench import (
     solve_output_weights,
     train,
 )
+from elmbench.elm import apply_activation
 from elmbench.errors import DimensionMismatch, InvalidLabel, LinAlgError, RankDeficient
 
 ALL_SOLVERS = list(SolverKind)
@@ -130,6 +131,16 @@ def test_sigmoid_range():
     got = hidden_output(z[:, None], [[1.0]], [0.0], ActivationKind.LOGISTIC_SIGMOID)
     assert np.allclose(got.ravel(), out)
     assert np.all((got > 0.0) & (got < 1.0))
+
+
+def test_tanh_activation_is_numpy_tanh():
+    z = np.linspace(-30.0, 30.0, 101).reshape(-1, 1)
+    assert np.array_equal(apply_activation(ActivationKind.TANH, z), np.tanh(z))
+
+
+def test_activation_outside_the_enum_raises():
+    with pytest.raises(ValueError, match="unknown activation"):
+        apply_activation("hyperbolic-tangent", np.zeros(2))
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +433,19 @@ def test_train_zero_error_square_hidden():
     scores, _ = predict(res.model, x)
     assert np.mean((scores - y) ** 2) <= 1e-6
     assert res.train_s > 0.0
+
+
+def test_train_and_predict_with_tanh():
+    rng = np.random.default_rng(37)
+    x = rng.uniform(0.0, 1.0, (16, 4))
+    y = rng.integers(0, 2, 16).astype(float)
+    model = train(x, y, ElmConfig(hidden_neurons=16, activation=ActivationKind.TANH,
+                                  rng_seed=2)).model
+    assert model.activation is ActivationKind.TANH
+    scores, _ = predict(model, x)
+    h = np.tanh(apply_normalizer(model.normalizer, x) @ model.input_weights + model.biases)
+    assert np.array_equal(scores, h @ model.output_weights)
+    assert np.mean((scores - y) ** 2) <= 1e-6
 
 
 def test_train_time_covers_hidden_output_and_solve_only(monkeypatch):

@@ -17,7 +17,9 @@ import pytest
 
 import elmbench
 from elmbench import (
+    Dataset,
     ElmConfig,
+    EpochSet,
     SolverKind,
     apply_normalizer,
     backward_substitute,
@@ -38,8 +40,10 @@ from elmbench import (
     solve_output_weights,
     svd,
     synth_epochs,
+    train,
     triangular_inverse,
     tridiagonal_solve,
+    write_csv,
 )
 from elmbench.errors import (
     DimensionMismatch,
@@ -1032,6 +1036,52 @@ def test_constructors_reject_nonfinite():
         svd(np.array([[1.0, np.nan]]))
     with pytest.raises(ValueError):
         lu_decompose(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+
+# A float cast would keep only the real part, with at most a ComplexWarning:
+# lu_decompose would factor [[2, 0], [0, 1]].
+_COMPLEX_CASES = {
+    "lu_decompose": (lambda: lu_decompose([[2 + 5j, 0], [0, 1]]), "a"),
+    "svd": (lambda: svd(np.eye(3) * 1j), "a"),
+    "forward_substitute": (lambda: forward_substitute(np.eye(2), [1j, 0.0]), "t"),
+    "factor-solve": (lambda: lu_decompose(np.eye(2)).solve(np.eye(2) + 0j), "b"),
+    "solve_output_weights-h": (
+        lambda: solve_output_weights(np.ones((3, 2)) + 1j, np.ones(3), SolverKind.LU), "h"),
+    "solve_output_weights-targets": (
+        lambda: solve_output_weights(np.eye(3), [1j, 0, 1], SolverKind.SVD), "targets"),
+    "hat_diagnostic": (lambda: hat_diagnostic(np.eye(3) * (1 + 1j), 0.1), "h"),
+    "hidden_output": (lambda: hidden_output([[1.0]], [[1.0]], [0.5j],
+                                            elmbench.ActivationKind.IDENTITY), "biases"),
+    "fit_normalizer": (lambda: fit_normalizer(np.eye(2, dtype=complex)), "train_features"),
+    "train": (lambda: train(np.eye(3, dtype=np.complex64), [0.0, 1.0, 0.0],
+                            ElmConfig(hidden_neurons=2)), "train_features"),
+    "write_csv": (lambda: write_csv(Dataset(features=np.ones((1, 1)) * 1j, labels=np.zeros(1),
+                                            layout=np.zeros((1, 3))), os.devnull),
+                  "dataset.features"),
+    "grand_average": (lambda: grand_average(EpochSet(data=np.ones((1, 1, 1)) * 1j,
+                                                     labels=np.zeros(1),
+                                                     layout=np.zeros((1, 3)))),
+                      "epochs.data"),
+}
+
+
+@pytest.mark.parametrize("case", list(_COMPLEX_CASES))
+def test_public_entry_points_refuse_complex_input(case):
+    call, name = _COMPLEX_CASES[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be real"):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: lu_decompose(np.ones(3)), "a must be 2-D, got 1-D"),
+    (lambda: mgs_qr(np.ones((0, 2))), "a must have at least one row and column"),
+    (lambda: solve_output_weights(np.eye(2), np.ones((2, 1)), SolverKind.LU),
+     "targets must be 1-D, got 2-D"),
+    (lambda: solve_output_weights(np.eye(2), [], SolverKind.LU), "targets must not be empty"),
+], ids=["matrix-not-2-D", "matrix-empty", "vector-not-1-D", "vector-empty"])
+def test_public_entry_points_refuse_bad_shapes(call, message):
+    with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+        call()
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,12 @@ checkouts solve the same inputs.
 
 Per route it prints how many arrays are ``np.array_equal`` to OLD_ROOT's,
 the largest relative change ``||new - old|| / ||old||``, and the largest
-relative distance of NEW_ROOT's array from the ``hh-qr`` route's. A route
-that raises in either checkout stops the run. It is a review aid, not a test.
+relative distance of NEW_ROOT's array from the ``hh-qr`` route's. It then
+compares the work counts: per fold, the ``iterations`` of ``svd(h)``,
+``svd(G)`` and ``schur_decompose(G)`` with ``G = h.T h + 0.1 I``, and prints
+for each factorization how many folds count the same in both checkouts. A
+route that raises in either checkout stops the run. It is a review aid, not
+a test.
 """
 
 import argparse
@@ -28,6 +32,8 @@ SEEDS = (7, 23)
 LAMBDAS = (0.0, 0.1)
 HAT_LAMBDA = 0.1
 REFERENCE = "hh-qr"
+# Prefix of the work-count entries, which are not route arrays.
+WORK = "iterations:"
 
 
 def dump(root: Path, out: Path) -> None:
@@ -52,6 +58,10 @@ def dump(root: Path, out: Path) -> None:
                         h, fold.t_train, kind, lam)
                 arrays[f"{kind.value}/hat{HAT_LAMBDA}/{seed}/{i}"] = eb.hat_diagnostic(
                     h, HAT_LAMBDA, kind)
+            g = h.T @ h + 0.1 * np.eye(h.shape[1])
+            for name, factor, matrix in (("svd(h)", eb.svd, h), ("svd(G)", eb.svd, g),
+                                         ("schur_decompose(G)", eb.schur_decompose, g)):
+                arrays[f"{WORK}{name}/{seed}/{i}"] = factor(matrix).iterations
     np.savez(out, **arrays)
 
 
@@ -70,12 +80,17 @@ def report(old: dict, new: dict) -> None:
 
     print(f"{'route':<12}{'equal':>8}{'max rel change':>17}"
           f"{'max dist from ' + REFERENCE:>22}")
-    for route in dict.fromkeys(k.split("/", 1)[0] for k in new):
+    for route in dict.fromkeys(k.split("/", 1)[0] for k in new if not k.startswith(WORK)):
         keys = [k for k in new if k.split("/", 1)[0] == route]
         equal = sum(np.array_equal(new[k], old[k]) for k in keys)
         change = max(rel(new[k], old[k]) for k in keys)
         dist = max(rel(new[k], new[REFERENCE + k[len(route):]]) for k in keys)
         print(f"{route:<12}{f'{equal}/{len(keys)}':>8}{change:>17.2e}{dist:>22.2e}")
+    print(f"\n{'iterations of':<20}{'equal':>8}")
+    for name in dict.fromkeys(k.split("/", 1)[0] for k in new if k.startswith(WORK)):
+        keys = [k for k in new if k.split("/", 1)[0] == name]
+        equal = sum(int(new[k]) == int(old[k]) for k in keys)
+        print(f"{name[len(WORK):]:<20}{f'{equal}/{len(keys)}':>8}")
 
 
 def main(argv=None) -> int:
