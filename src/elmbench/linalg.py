@@ -122,36 +122,32 @@ def _by_row(d: np.ndarray, b: np.ndarray) -> np.ndarray:
     return d if b.ndim == 1 else d[:, None]
 
 
+def _as_array(a, name: str, ndim: int) -> np.ndarray:
+    """Validate and copy input into a C-ordered ndim-D float64 array with finite real entries."""
+    if np.iscomplexobj(a):  # a float cast would keep the real part only
+        raise ValueError(f"{name} must be real, got complex entries")
+    w = np.array(a, dtype=float, order="C")
+    if w.ndim != ndim:
+        raise DimensionMismatch(f"{name} must be {ndim}-D, got {w.ndim}-D")
+    if w.size < 1:
+        raise DimensionMismatch(f"{name} must not be empty")
+    if not np.all(np.isfinite(w)):
+        raise ValueError(f"{name} contains NaN or infinite entries")
+    return w
+
+
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Validate and copy input into a C-ordered 2-D float64 array with finite real entries.
 
     The factorizations work in place on this copy, so their results do not
     depend on the input's memory order.
     """
-    if np.iscomplexobj(a):  # a float cast would keep the real part only
-        raise ValueError(f"{name} must be real, got complex entries")
-    m = np.array(a, dtype=float, order="C")
-    if m.ndim != 2:
-        raise DimensionMismatch(f"{name} must be 2-D, got {m.ndim}-D")
-    if m.shape[0] < 1 or m.shape[1] < 1:
-        raise DimensionMismatch(f"{name} must have at least one row and column")
-    if not np.all(np.isfinite(m)):
-        raise ValueError(f"{name} contains NaN or infinite entries")
-    return m
+    return _as_array(a, name, 2)
 
 
 def as_vector(v, name: str = "vector") -> np.ndarray:
     """Validate and copy input into a 1-D float64 array with finite real entries."""
-    if np.iscomplexobj(v):
-        raise ValueError(f"{name} must be real, got complex entries")
-    w = np.array(v, dtype=float)
-    if w.ndim != 1:
-        raise DimensionMismatch(f"{name} must be 1-D, got {w.ndim}-D")
-    if w.size < 1:
-        raise DimensionMismatch(f"{name} must not be empty")
-    if not np.all(np.isfinite(w)):
-        raise ValueError(f"{name} contains NaN or infinite entries")
-    return w
+    return _as_array(v, name, 1)
 
 
 def _zero_below(scale):
@@ -171,16 +167,21 @@ def _unit_scale(work: np.ndarray) -> float:
     return scale
 
 
-def _require_square(a: np.ndarray, name: str) -> None:
+def _square(a, name: str) -> np.ndarray:
+    """as_matrix(a, name), refused unless square."""
+    a = as_matrix(a, name)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"{name} must be square, got {a.shape}")
+    return a
 
 
-def _require_symmetric(a: np.ndarray, name: str) -> None:
-    _require_square(a, name)
+def _symmetric(a, name: str) -> np.ndarray:
+    """_square(a, name), refused unless symmetric to SYMMETRY_RTOL relative."""
+    a = _square(a, name)
     scale = np.abs(a).max()
     if scale > 0.0 and np.abs(a - a.T).max() > SYMMETRY_RTOL * scale:
         raise NotSymmetric(f"{name} is not symmetric to {SYMMETRY_RTOL:g} relative")
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +195,7 @@ def lu_decompose(a) -> LuFactors:
     that a[perm] == l @ u. Raises SingularMatrix when a pivot falls below
     _zero_below the largest entry of a.
     """
-    lu = as_matrix(a, "a")
-    _require_square(lu, "a")
+    lu = _square(a, "a")
     n = lu.shape[0]
     floor = _zero_below(np.abs(lu).max())
     perm = np.arange(n)
@@ -215,7 +215,7 @@ def lu_decompose(a) -> LuFactors:
 
 def _as_rhs(b, name: str, rows: int) -> np.ndarray:
     """A validated copy of b, a vector or a matrix of columns, with rows rows."""
-    b = as_matrix(b, name) if np.ndim(b) == 2 else as_vector(b, name)
+    b = _as_array(b, name, 2 if np.ndim(b) == 2 else 1)
     if b.shape[0] != rows:
         raise DimensionMismatch(f"{name} has {b.shape[0]} rows, expected {rows}")
     return b
@@ -223,8 +223,7 @@ def _as_rhs(b, name: str, rows: int) -> np.ndarray:
 
 def _square_system(a, b, a_name: str, b_name: str) -> tuple[np.ndarray, np.ndarray]:
     """Validate a square matrix a and a right-hand side b with as many rows."""
-    a = as_matrix(a, a_name)
-    _require_square(a, a_name)
+    a = _square(a, a_name)
     return a, _as_rhs(b, b_name, a.shape[0])
 
 
@@ -304,10 +303,10 @@ def _reflector(x: np.ndarray) -> np.ndarray:
     """
     xx = x @ x
     if xx < _TINY_OVER_EPS:
-        top = np.abs(x).max()
-        if top == 0.0:
+        if not x.any():
             return np.zeros_like(x)
-        x = x / math.ldexp(0.5, math.frexp(top)[1])
+        x = x.copy()
+        _unit_scale(x)
         xx = x @ x
     nrm = math.sqrt(xx)
     v = x.copy()
@@ -360,14 +359,15 @@ def _apply_qt(blocks: list, c: np.ndarray) -> None:
 
 
 def _householder_reduce(work: np.ndarray) -> list:
-    """Reduce work (rows >= cols) in place to upper-triangular form.
+    """Reduce work (rows >= cols, C-contiguous) in place to upper-triangular form.
 
     Returns the compact-WY blocks (j0, v, t) of the reflectors, one per
     panel of _NB columns, as _wy_blocks forms them. A column already zero
     on and below the diagonal gets a zero reflector, the identity. Inside a
     panel each reflector updates the panel's remaining columns only; then
     the panel's block updates every column right of it at once, through
-    _apply_qt.
+    _apply_qt. The panel transposes and _apply_qt's products run on work's
+    layout, so their bits depend on it: work must be C-contiguous.
     """
     n, m = work.shape
     blocks = []
@@ -465,11 +465,14 @@ class _HouseholderFactors:
 
 
 def _householder_factors(work: np.ndarray, scale: float = 1.0) -> _HouseholderFactors:
-    """Reduce work (rows >= cols) in place; its factors, r times scale, with diag(r) >= 0.
+    """Reduce work (rows >= cols); its factors, r times scale, with diag(r) >= 0.
 
-    A column already zero on and below the diagonal gets a zero reflector,
-    so q is orthonormal whatever work is.
+    work is consumed: reduced in place when C-contiguous, reduced through a
+    copy otherwise, so the factors do not depend on its layout. A column
+    already zero on and below the diagonal gets a zero reflector, so q is
+    orthonormal whatever work is.
     """
+    work = np.ascontiguousarray(work)
     blocks = _householder_reduce(work)
     r = np.triu(work[:work.shape[1]]) * scale
     signs = np.where(np.diag(r) < 0.0, -1.0, 1.0)
@@ -508,8 +511,7 @@ def triangular_inverse(r) -> np.ndarray:
     wraps it by name and reports its per-layer metrics; it goes when those
     do.
     """
-    r = as_matrix(r, "r")
-    _require_square(r, "r")
+    r = _square(r, "r")
     if np.any(np.abs(np.diag(r)) < _zero_below(np.abs(r).max())):
         raise SingularMatrix("triangular matrix has a near-zero diagonal entry")
     return _substitute(r, np.eye(r.shape[0]), lower=False)
@@ -535,8 +537,7 @@ def hessenberg_reduce(a) -> SimilarityFactors:
     columns <= k are never touched again. t is assembled from the diagonal
     and the recorded sub-diagonal, so it is exactly symmetric.
     """
-    work = as_matrix(a, "a")
-    _require_symmetric(work, "a")
+    work = _symmetric(a, "a")
     n = work.shape[0]
     scale = _unit_scale(work)
     # Reflector k acts on rows k + 1:, so it is stored at index k + 1.
@@ -992,10 +993,9 @@ def svd(a) -> SvdFactors:
     e[0::2], e[1::2] = np.diag(t), np.diag(t, 1)
     lam, vecs, iterations = _tridiag_dc(np.zeros(2 * k), e)
     u_r, v_r = np.eye(m), np.eye(m)
-    # Contiguous copies: the reduction's bits depend on its input's layout.
     u_r[:k, :k] = _apply_reflectors(_wy_blocks(right, k), k,
-                                    _householder_factors(vecs[0::2, :k].copy()).q)
-    v_r[:k, :k] = _householder_factors(vecs[1::2, :k].copy()).q
+                                    _householder_factors(vecs[0::2, :k]).q)
+    v_r[:k, :k] = _householder_factors(vecs[1::2, :k]).q
     u = _apply_reflectors(blocks, n, _apply_reflectors(pivot_blocks, m, u_r))
     v = np.empty((m, m))
     v[perm] = _apply_reflectors(_wy_blocks(left, m), m, v_r)

@@ -16,6 +16,8 @@ from elmbench.errors import InvalidLabel, LayoutMismatch, ParseError, SchemaErro
 def test_synth_default_counts():
     eps = synth_epochs(seed=7)
     assert eps.trials == 864
+    assert eps.channels == 14
+    assert eps.samples == 64
     assert int(eps.labels.sum()) == 72
     assert int((eps.labels == 0).sum()) == 792
     assert eps.data.shape == (864, 14, 64)

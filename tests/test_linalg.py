@@ -685,6 +685,22 @@ def test_schur_secular_passes_count_against_the_budget(monkeypatch):
         schur_decompose(a)
 
 
+def test_schur_ql_restart_on_an_exactly_zero_rotation_radius():
+    # The QL chase meets a rotation radius that is exactly zero, so
+    # _tridiag_eigen deflates there and restarts. Four of the eigenvalues
+    # are +-2**-600; numpy's eigvalsh returns 5e-324 for all four, so this
+    # also holds the relative deflation to its word.
+    d = np.array([2.0 ** -1074] * 4 + [0.0, 2.0 ** -540])
+    e = np.array([2.0 ** -600, -2.0 ** -1074, 2.0 ** -600, 2.0 ** -1074, -0.5])
+    t = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    f = schur_decompose(t)
+    assert fro(f.q @ f.t @ f.q.T - t) <= 1e-15 * fro(t)
+    assert fro(f.q.T @ f.q - np.eye(6)) <= 1e-15
+    tiny = 2.0 ** -600
+    exact = np.array([-0.5, -tiny, -tiny, tiny, tiny, 0.5])
+    assert np.all(np.abs(np.sort(np.diag(f.t)) - exact) <= 1e-15 * np.abs(exact))
+
+
 def test_schur_divide_and_conquer_at_width_500():
     # 500 rows tear into 16 blocks of 31 or 32: four levels of merges on a
     # sigmoid Gram matrix whose eigenvalues spread over many decades.
@@ -1074,7 +1090,7 @@ def test_public_entry_points_refuse_complex_input(case):
 
 @pytest.mark.parametrize("call, message", [
     (lambda: lu_decompose(np.ones(3)), "a must be 2-D, got 1-D"),
-    (lambda: mgs_qr(np.ones((0, 2))), "a must have at least one row and column"),
+    (lambda: mgs_qr(np.ones((0, 2))), "a must not be empty"),
     (lambda: solve_output_weights(np.eye(2), np.ones((2, 1)), SolverKind.LU),
      "targets must be 1-D, got 2-D"),
     (lambda: solve_output_weights(np.eye(2), [], SolverKind.LU), "targets must not be empty"),
@@ -1243,6 +1259,17 @@ def test_factorization_ignores_memory_order(factorize):
             assert c_val.shape == f_val.shape and c_val.tobytes() == f_val.tobytes(), field
 
 
+def test_householder_factors_ignore_their_input_layout():
+    # 40 columns span two panels, so the trailing compact-WY update runs
+    # too. Reduced in its own layout, an F-ordered copy would differ from
+    # the C-ordered one in the last bits.
+    a = np.random.default_rng(59).standard_normal((100, 40))
+    c_fac = linalg._householder_factors(np.array(a, order="C"))
+    f_fac = linalg._householder_factors(np.array(a, order="F"))
+    for field in ("r", "signs", "q"):
+        assert np.array_equal(getattr(c_fac, field), getattr(f_fac, field)), field
+
+
 def _stored_arrays(value):
     """Every array a factor field stores; householder_qr's blocks are (j0, v, t) tuples."""
     if isinstance(value, (list, tuple)):
@@ -1315,6 +1342,11 @@ def test_flop_lu_small():
 
 def test_flop_hessenberg_floor():
     assert flop_estimate(SolverKind.HESSENBERG, 20, 10) == 3333
+
+
+def test_flop_rejects_an_unknown_method():
+    with pytest.raises(ValueError, match="unknown method"):
+        flop_estimate("svd", 3, 2)
 
 
 @pytest.mark.parametrize("m, n", [(10, 2.9), (1.5, 3), ("5", 3), (5, None),
