@@ -184,6 +184,17 @@ def _symmetric(a, name: str) -> np.ndarray:
     return a
 
 
+def _swap_rows(a: np.ndarray, i: int, j: int) -> None:
+    """Swap rows i and j of a in place through one row copy.
+
+    Cheaper than fancy indexing at width 100. A tuple swap of the two rows
+    would not do: both sides are views, so one row would overwrite the other.
+    """
+    row = a[i].copy()
+    a[i] = a[j]
+    a[j] = row
+
+
 # ---------------------------------------------------------------------------
 # LU with partial pivoting, forward/backward substitution
 # ---------------------------------------------------------------------------
@@ -200,14 +211,14 @@ def lu_decompose(a) -> LuFactors:
     floor = _zero_below(np.abs(lu).max())
     perm = np.arange(n)
     for k in range(n):
-        piv = k + int(np.argmax(np.abs(lu[k:, k])))
+        piv = k + int(np.abs(lu[k:, k]).argmax())
         if abs(lu[piv, k]) < floor:
             raise SingularMatrix(f"pivot {k} below tolerance")
         if piv != k:
-            lu[[k, piv]] = lu[[piv, k]]
-            perm[[k, piv]] = perm[[piv, k]]
+            _swap_rows(lu, k, piv)
+            perm[k], perm[piv] = perm[piv], perm[k]
         lu[k + 1:, k] /= lu[k, k]
-        lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
+        lu[k + 1:, k + 1:] -= lu[k + 1:, k, None] * lu[k, k + 1:]
     l = np.tril(lu, -1) + np.eye(n)
     u = np.triu(lu)
     return LuFactors(l=l, u=u, perm=perm)
@@ -407,8 +418,8 @@ def _pivoted_reduce(work: np.ndarray) -> tuple[list, np.ndarray]:
         rest = wt[j:, j:]
         p = j + int(np.argmax(np.einsum("ij,ij->i", rest, rest)))
         if p != j:
-            wt[[j, p]] = wt[[p, j]]
-            perm[[j, p]] = perm[[p, j]]
+            _swap_rows(wt, j, p)
+            perm[j], perm[p] = perm[p], perm[j]
         v = _reflector(wt[j, j:])
         rest -= np.outer(2.0 * (rest @ v), v)
         reflectors.append(v)
@@ -811,6 +822,8 @@ def _merge(d: np.ndarray, vecs: np.ndarray, split: int, beta: float,
     if not poles.size:
         return d, vecs, 0
     # Pairs are tested in order, since a rotation changes the next pair's d.
+    # The scan runs on Python floats, which are faster here than numpy's.
+    d, z = d.tolist(), z.tolist()
     keep = []
     prev = int(poles[0])
     for j in poles[1:].tolist():
@@ -825,7 +838,7 @@ def _merge(d: np.ndarray, vecs: np.ndarray, split: int, beta: float,
             keep.append(prev)
         prev = j
     keep.append(prev)
-    keep = np.array(keep)
+    d, z, keep = np.array(d), np.array(z), np.array(keep)
     lam, delta, passes = _secular_roots(d[keep], z[keep], rho, budget)
     # The Loewner formula: zhat_j^2 == prod_i (lam_i - d_j) / prod_(i != j) (d_i - d_j),
     # up to the factor rho that the normalization drops, taken as a product
@@ -912,24 +925,23 @@ def tridiagonal_solve(t, b) -> np.ndarray:
     t, b = _square_system(t, b, "t", "b")
     n = t.shape[0]
     floor = _zero_below(np.abs(t).max())
-    diag = np.diag(t).copy()
-    lower = np.diag(t, -1)
-    upper = np.diag(t, 1)
-    # A view of b, which _as_rhs copied: the elimination may work in place.
-    rhs = b.reshape(n, -1)
+    # The sweeps run on Python floats, which are faster here than numpy's.
+    # A row of rhs is a float for a vector b and a row array for a matrix,
+    # so one loop serves both.
+    diag, lower, upper = (np.diag(t, k).tolist() for k in (0, -1, 1))
+    rhs = b.tolist() if b.ndim == 1 else list(b)
     # Thomas elimination: sweep down, then back-substitute.
     for i in range(n):
         if i > 0:
             w = lower[i - 1] / diag[i - 1]
             diag[i] -= w * upper[i - 1]
-            rhs[i] -= w * rhs[i - 1]
+            rhs[i] = rhs[i] - w * rhs[i - 1]
         if abs(diag[i]) < floor:
             raise SingularMatrix(f"vanishing pivot at row {i}")
-    x = np.zeros_like(rhs)
-    x[n - 1] = rhs[n - 1] / diag[n - 1]
+    rhs[n - 1] = rhs[n - 1] / diag[n - 1]
     for i in range(n - 2, -1, -1):
-        x[i] = (rhs[i] - upper[i] * x[i + 1]) / diag[i]
-    return x.reshape(b.shape)
+        rhs[i] = (rhs[i] - upper[i] * rhs[i + 1]) / diag[i]
+    return np.array(rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,34 @@ def test_lu_reconstruction_random():
     assert np.abs(np.tril(f.u, -1)).max() == 0.0
 
 
+def _fancy_index_lu(a):
+    # Row swaps by fancy indexing and the update by np.outer: the same
+    # arithmetic as lu_decompose, its bookkeeping written the plain way.
+    lu = a.copy()
+    n = lu.shape[0]
+    perm = np.arange(n)
+    swaps = 0
+    for k in range(n):
+        piv = k + int(np.argmax(np.abs(lu[k:, k])))
+        if piv != k:
+            lu[[k, piv]] = lu[[piv, k]]
+            perm[[k, piv]] = perm[[piv, k]]
+            swaps += 1
+        lu[k + 1:, k] /= lu[k, k]
+        lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
+    return np.tril(lu, -1) + np.eye(n), np.triu(lu), perm, swaps
+
+
+def test_lu_row_swaps_match_a_fancy_index_reference():
+    a = np.random.default_rng(12).standard_normal((40, 40))
+    l, u, perm, swaps = _fancy_index_lu(a)
+    assert swaps >= 30
+    f = lu_decompose(a)
+    assert np.array_equal(f.l, l)
+    assert np.array_equal(f.u, u)
+    assert np.array_equal(f.perm, perm)
+
+
 def test_lu_singular_raises():
     with pytest.raises(SingularMatrix):
         lu_decompose(np.array([[1.0, 2.0], [2.0, 4.0]]))
@@ -305,10 +333,14 @@ def _rank_four_with_zero_column():
     return a
 
 
-@pytest.mark.parametrize("a, rank", [
-    (np.random.default_rng(42).standard_normal((30, 30)), 30),
-    (_rank_four_with_zero_column(), 4),
-], ids=["random", "rank4"])
+# Square inputs to _pivoted_reduce with their ranks.
+_PIVOTED_INPUTS = {
+    "random": (np.random.default_rng(42).standard_normal((30, 30)), 30),
+    "rank4": (_rank_four_with_zero_column(), 4),
+}
+
+
+@pytest.mark.parametrize("a, rank", _PIVOTED_INPUTS.values(), ids=_PIVOTED_INPUTS.keys())
 def test_pivoted_reduce_picks_the_largest_remaining_column(a, rank):
     m = a.shape[0]
     work = a.copy()
@@ -330,6 +362,38 @@ def test_pivoted_reduce_picks_the_largest_remaining_column(a, rank):
         assert np.abs(np.diag(r)[rank:]).max() <= tol
         zero = perm.tolist().index(6)
         assert zero >= rank and not r[:, zero].any()
+
+
+def _fancy_index_pivoted_reduce(work):
+    # _pivoted_reduce with its row swaps written by fancy indexing.
+    m = work.shape[1]
+    wt = np.ascontiguousarray(work.T)
+    perm = np.arange(m)
+    reflectors = []
+    for j in range(m):
+        rest = wt[j:, j:]
+        p = j + int(np.argmax(np.einsum("ij,ij->i", rest, rest)))
+        if p != j:
+            wt[[j, p]] = wt[[p, j]]
+            perm[[j, p]] = perm[[p, j]]
+        v = linalg._reflector(wt[j, j:])
+        rest -= np.outer(2.0 * (rest @ v), v)
+        reflectors.append(v)
+    return linalg._wy_blocks(reflectors, m), perm, wt.T
+
+
+@pytest.mark.parametrize("name", list(_PIVOTED_INPUTS))
+def test_pivoted_reduce_matches_a_fancy_index_reference(name):
+    a = _PIVOTED_INPUTS[name][0]
+    want_blocks, want_perm, want_r = _fancy_index_pivoted_reduce(a.copy())
+    work = a.copy()
+    blocks, perm = linalg._pivoted_reduce(work)
+    assert np.array_equal(work, want_r)
+    assert np.array_equal(perm, want_perm)
+    assert len(blocks) == len(want_blocks)
+    for (j0, v, t), (want_j0, want_v, want_t) in zip(blocks, want_blocks):
+        assert j0 == want_j0
+        assert np.array_equal(v, want_v) and np.array_equal(t, want_t)
 
 
 def test_householder_identity():
@@ -756,6 +820,23 @@ def test_tridiagonal_solve_singular():
 def test_tridiagonal_solve_names_the_vanishing_pivot_row(t, row):
     with pytest.raises(SingularMatrix, match=f"vanishing pivot at row {row}$"):
         tridiagonal_solve(np.array(t), np.ones(3))
+
+
+def test_tridiagonal_solve_columns_match_vector_solves():
+    # One Thomas loop serves both right-hand-side types, so a column of a
+    # matrix solve has the bits of the vector solve of that column.
+    x = np.random.default_rng(13).uniform(0.0, 1.0, (200, 16))
+    cfg = ElmConfig(hidden_neurons=100, rng_seed=13)
+    weights, biases = init_random_layer(cfg, 16)
+    h = hidden_output(x, weights, biases, cfg.activation)
+    t = hessenberg_reduce(h.T @ h + 0.1 * np.eye(100)).t
+    b = np.random.default_rng(14).standard_normal((100, 7))
+    cols = tridiagonal_solve(t, b)
+    assert cols.shape == (100, 7)
+    for j in range(7):
+        col = tridiagonal_solve(t, b[:, j])
+        assert col.shape == (100,)
+        assert np.array_equal(cols[:, j], col), j
 
 
 def test_tridiagonal_solve_pivot_test_is_relative():
