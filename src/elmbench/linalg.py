@@ -37,6 +37,10 @@ EIGEN_ITER_FACTOR = 100
 _NB = 32
 _EPS = float(np.finfo(float).eps)
 _TINY_OVER_EPS = float(np.finfo(float).tiny) / _EPS
+# Decorates every solve, which then checks its result once by _finite: with
+# overflow warnings off, an overflow shows as inf or NaN there. As a
+# decorator an errstate keeps its state per call, so nested solves are safe.
+_QUIET = np.errstate(over="ignore", invalid="ignore")
 
 
 class SolverKind(Enum):
@@ -71,9 +75,11 @@ class QrFactors:
     q: np.ndarray
     r: np.ndarray
 
+    @_QUIET
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Least-squares x for a @ x ~= b, b a vector or a matrix of columns."""
-        return backward_substitute(self.r, self.q.T @ _as_rhs(b, "b", self.q.shape[0]))
+        qtb = self.q.T @ _as_rhs(b, "b", self.q.shape[0])
+        return backward_substitute(self.r, _finite(qtb))
 
 
 @dataclass(frozen=True)
@@ -89,10 +95,11 @@ class SimilarityFactors:
     t: np.ndarray
     iterations: int = 0
 
+    @_QUIET
     def solve(self, b: np.ndarray) -> np.ndarray:
         """x with a @ x == b, b a vector or a matrix of columns."""
         b = _as_rhs(b, "b", self.q.shape[0])
-        return self.q @ tridiagonal_solve(self.t, self.q.T @ b)
+        return _finite(self.q @ tridiagonal_solve(self.t, _finite(self.q.T @ b)))
 
 
 @dataclass(frozen=True)
@@ -109,12 +116,13 @@ class SvdFactors:
     v: np.ndarray
     iterations: int = 0
 
+    @_QUIET
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Least-squares x for a @ x ~= b; RankDeficient below _zero_below(sigma[0])."""
         b, s = _as_rhs(b, "b", self.u.shape[0]), self.sigma
         if s[-1] < _zero_below(s[0]):
             raise RankDeficient("singular values collapse below tolerance")
-        return self.v @ ((self.u.T @ b) / _by_row(s, b))
+        return _finite(self.v @ ((self.u.T @ b) / _by_row(s, b)))
 
 
 def _by_row(d: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -148,6 +156,18 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 def as_vector(v, name: str = "vector") -> np.ndarray:
     """Validate and copy input into a 1-D float64 array with finite real entries."""
     return _as_array(v, name, 1)
+
+
+def _finite(x: np.ndarray) -> np.ndarray:
+    """x, refused with SingularMatrix if an entry is inf or NaN.
+
+    Callers pass what they computed from validated, finite inputs, so a
+    non-finite entry means the solution, or a step toward it, overflowed:
+    the system is too close to singular for the size of its right-hand side.
+    """
+    if not np.isfinite(x).all():
+        raise SingularMatrix("solution overflows: the system is too close to singular for b")
+    return x
 
 
 def _zero_below(scale):
@@ -251,20 +271,22 @@ def _substitute(tri: np.ndarray, rhs: np.ndarray, lower: bool) -> np.ndarray:
     return x
 
 
+@_QUIET
 def forward_substitute(l, t) -> np.ndarray:
     """Solve l @ y = t reading only the lower triangle of l.
 
     t may be a vector or a matrix of right-hand-side columns.
     """
-    return _substitute(*_square_system(l, t, "l", "t"), lower=True)
+    return _finite(_substitute(*_square_system(l, t, "l", "t"), lower=True))
 
 
+@_QUIET
 def backward_substitute(u, y) -> np.ndarray:
     """Solve u @ w = y reading only the upper triangle of u.
 
     y may be a vector or a matrix of right-hand-side columns.
     """
-    return _substitute(*_square_system(u, y, "u", "y"), lower=False)
+    return _finite(_substitute(*_square_system(u, y, "u", "y"), lower=False))
 
 
 # ---------------------------------------------------------------------------
@@ -466,13 +488,14 @@ class _HouseholderFactors:
         return _apply_reflectors(self.blocks, self.blocks[0][1].shape[0],
                                  np.diag(self.signs))
 
+    @_QUIET
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Least-squares x for a @ x ~= b, applying q.T block by block."""
         qtb = _as_rhs(b, "b", self.blocks[0][1].shape[0])  # block 0 spans all rows
         _apply_qt(self.blocks, qtb)
         m = self.r.shape[0]
         qtb[:m] *= _by_row(self.signs, qtb)
-        return backward_substitute(self.r, qtb[:m])
+        return backward_substitute(self.r, _finite(qtb[:m]))
 
 
 def _householder_factors(work: np.ndarray, scale: float = 1.0) -> _HouseholderFactors:
@@ -511,6 +534,7 @@ def householder_qr(a) -> _HouseholderFactors:
     return factors
 
 
+@_QUIET
 def triangular_inverse(r) -> np.ndarray:
     """Invert an upper-triangular matrix column by column.
 
@@ -525,7 +549,7 @@ def triangular_inverse(r) -> np.ndarray:
     r = _square(r, "r")
     if np.any(np.abs(np.diag(r)) < _zero_below(np.abs(r).max())):
         raise SingularMatrix("triangular matrix has a near-zero diagonal entry")
-    return _substitute(r, np.eye(r.shape[0]), lower=False)
+    return _finite(_substitute(r, np.eye(r.shape[0]), lower=False))
 
 
 # ---------------------------------------------------------------------------
@@ -690,12 +714,13 @@ def _tridiag_eigen(d: np.ndarray, e: np.ndarray, zt: np.ndarray,
 class _SchurFactors(SimilarityFactors):
     """SimilarityFactors whose t is diagonal: the eigenvalues, descending."""
 
+    @_QUIET
     def solve(self, b: np.ndarray) -> np.ndarray:
         """x with a @ x == b; SingularMatrix below _zero_below(max |t|)."""
         b, eigs = _as_rhs(b, "b", self.q.shape[0]), np.diag(self.t)
         if np.abs(eigs).min() < _zero_below(np.abs(eigs).max()):
             raise SingularMatrix("eigenvalue of the normal matrix is below tolerance")
-        return self.q @ ((self.q.T @ b) / _by_row(eigs, b))
+        return _finite(self.q @ ((self.q.T @ b) / _by_row(eigs, b)))
 
 
 def _tears(lo: int, hi: int) -> list:
@@ -914,6 +939,7 @@ def schur_decompose(a) -> SimilarityFactors:
     return _SchurFactors(q=base.q @ vecs, t=np.diag(d), iterations=iterations)
 
 
+@_QUIET
 def tridiagonal_solve(t, b) -> np.ndarray:
     """Solve t @ x = b for tridiagonal t without forming an inverse.
 
@@ -941,7 +967,7 @@ def tridiagonal_solve(t, b) -> np.ndarray:
     rhs[n - 1] = rhs[n - 1] / diag[n - 1]
     for i in range(n - 2, -1, -1):
         rhs[i] = (rhs[i] - upper[i] * rhs[i + 1]) / diag[i]
-    return np.array(rhs)
+    return _finite(np.array(rhs))
 
 
 # ---------------------------------------------------------------------------

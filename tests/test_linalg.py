@@ -1275,6 +1275,35 @@ def test_subnormal_pivots_raise(solve):
         solve(1e-320 * np.eye(3))
 
 
+_SOLVES = {
+    "forward_substitute": forward_substitute,
+    "backward_substitute": backward_substitute,
+    "tridiagonal_solve": tridiagonal_solve,
+    **{f.__name__: lambda a, b, f=f: f(a).solve(b)
+       for f in (lu_decompose, mgs_qr, householder_qr, hessenberg_reduce,
+                 schur_decompose, svd)},
+}
+
+
+@pytest.mark.parametrize("b", [np.array([1.5e308, 1.0]),
+                               np.array([[1.5e308, 1.0], [1.0, 1.0]])],
+                         ids=["vector", "columns"])
+@pytest.mark.parametrize("name", list(_SOLVES))
+def test_a_solution_that_overflows_raises(name, b):
+    # 0.5 I is well conditioned, but its solution of this finite b is past
+    # the largest float. Every solve refuses it as singular for b instead
+    # of returning inf or blaming b, and warns of nothing on the way.
+    with pytest.raises(SingularMatrix, match="overflows"):
+        _SOLVES[name](0.5 * np.eye(2), b)
+
+
+def test_triangular_inverse_that_overflows_raises():
+    # Each pivot passes the relative test, but the corner of the inverse,
+    # -1e-291 / (1e-302 * 1e-302), is past the largest float.
+    with pytest.raises(SingularMatrix, match="overflows"):
+        triangular_inverse(np.array([[1e-302, 1e-291], [0.0, 1e-302]]))
+
+
 # ---------------------------------------------------------------------------
 # Caller data
 # ---------------------------------------------------------------------------

@@ -1,0 +1,233 @@
+"""Compare two checkouts on the same inputs: route bits, work counts and call times.
+
+    python3 tools/ab.py OLD_ROOT NEW_ROOT
+
+Each root is a checkout with the package under ``src/``. The checkout
+holding this script builds the inputs once with ``bench/harness.prepare``:
+the 12 ``erp-cv`` folds of seeds 7 and 23, each fold's ``x_train`` and
+``t_train`` with its seed's ``weights`` and ``biases``, and the harness's
+activation. Both checkouts read that one ``.npz``, so a change to data
+generation, the CSV format or the normalizer cannot move what they compute.
+Every subprocess runs with a single OpenBLAS thread and its checkout's
+``src`` first on the path.
+
+One ``--dump`` subprocess per checkout computes, on every fold, 432 route
+arrays: each of the six routes' ``solve_output_weights`` at ridge 0 and 0.1
+and ``hat_diagnostic`` at 0.1. It also records the ``iterations`` of
+``svd(h)``, ``svd(G)`` and ``schur_decompose(G)``, with ``G = h.T h + 0.1 I``:
+72 counts. Per route the tool prints how many arrays are ``np.array_equal``
+to OLD_ROOT's, the largest relative change ``||new - old|| / ||old||`` and
+the largest relative distance of NEW_ROOT's array from the ``hh-qr`` route's.
+Per factorization it prints how many folds count the same iterations. A
+route that raises in either checkout stops the run.
+
+Then 6 rounds each run one ``--time`` subprocess per checkout, and the
+checkout that goes first alternates. On fold 0 of seed 7 a subprocess times
+24 public calls, each after one warm-up call, repeated for about 0.1 s and
+at least 5 times, and keeps the median of each:
+
+- ``hidden_output`` of the fold;
+- the six factorizations of ``G``, and ``svd``, ``mgs_qr`` and
+  ``householder_qr`` of ``h``;
+- each factor of ``G``'s ``solve`` on the vector ``h.T t`` and on the
+  100 x 792 ``h.T``;
+- ``tridiagonal_solve`` of ``hessenberg_reduce(G).t`` on the same two.
+
+Per call it prints each checkout's median over the rounds with its
+quartiles, in ms, the ratio NEW/OLD of the medians, and in how many rounds
+NEW was faster. It is a review aid, not a test.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = (7, 23)
+RIDGE = 0.1
+LAMBDAS = (0.0, RIDGE)
+REFERENCE = "hh-qr"
+# Prefix of the work-count entries, which are not route arrays.
+WORK = "iterations:"
+TIMED_FOLD = "7/0"
+ROUNDS = 6
+MIN_REPEATS = 5
+TARGET_S = 0.1
+
+
+def write_inputs(out: Path) -> None:
+    """Write the folds of SEEDS, as this checkout's prepare builds them, to out (.npz)."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+    import numpy as np
+
+    import harness
+    inputs = {"activation": harness.ACTIVATION.value}
+    for seed in SEEDS:
+        prep = harness.prepare(harness.WORKLOADS["erp-cv"], seed,
+                               out.parent / f"data-{seed}")
+        for i, fold in enumerate(prep.folds):
+            inputs.update({f"{seed}/{i}/x": fold.x_train, f"{seed}/{i}/t": fold.t_train,
+                           f"{seed}/{i}/weights": prep.weights,
+                           f"{seed}/{i}/biases": prep.biases})
+    np.savez(out, **inputs)
+
+
+def checkout(root: Path, inputs: Path):
+    """The elmbench of root's src, the activation, and {"seed/i": (x, t, weights, biases)}."""
+    sys.path.insert(0, str(root / "src"))
+    import numpy as np
+
+    import elmbench as eb
+    if Path(eb.__file__).resolve().parent != (root / "src" / "elmbench").resolve():
+        raise SystemExit(f"imported elmbench from {eb.__file__}, not {root / 'src'}")
+    with np.load(inputs) as data:
+        folds = {k[:-2]: tuple(data[k[:-1] + name] for name in ("x", "t", "weights", "biases"))
+                 for k in data.files if k.endswith("/x")}
+        return eb, eb.ActivationKind(str(data["activation"])), folds
+
+
+def dump(root: Path, inputs: Path, out: Path) -> None:
+    """Write the route arrays and work counts of the checkout at root to out (.npz)."""
+    eb, activation, folds = checkout(root, inputs)
+    import numpy as np
+    arrays = {}
+    for fold, (x, t, weights, biases) in folds.items():
+        h = eb.hidden_output(x, weights, biases, activation)
+        for kind in eb.SolverKind:
+            for lam in LAMBDAS:
+                arrays[f"{kind.value}/w{lam}/{fold}"] = eb.solve_output_weights(
+                    h, t, kind, lam)
+            arrays[f"{kind.value}/hat{RIDGE}/{fold}"] = eb.hat_diagnostic(h, RIDGE, kind)
+        g = h.T @ h + RIDGE * np.eye(h.shape[1])
+        for name, factor, matrix in (("svd(h)", eb.svd, h), ("svd(G)", eb.svd, g),
+                                     ("schur_decompose(G)", eb.schur_decompose, g)):
+            arrays[f"{WORK}{name}/{fold}"] = factor(matrix).iterations
+    np.savez(out, **arrays)
+
+
+def median_call_s(call) -> float:
+    """Median seconds of call() over at least MIN_REPEATS runs and about TARGET_S."""
+    call()
+    start = time.perf_counter()
+    call()
+    repeats = max(MIN_REPEATS, int(TARGET_S / (time.perf_counter() - start)))
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
+
+
+def time_calls(root: Path, inputs: Path, out: Path) -> None:
+    """Write the median seconds of each public call of the checkout at root to out (.json)."""
+    eb, activation, folds = checkout(root, inputs)
+    import numpy as np
+    x, t, weights, biases = folds[TIMED_FOLD]
+    h = eb.hidden_output(x, weights, biases, activation)
+    g = h.T @ h + RIDGE * np.eye(h.shape[1])
+    rhs = {"h.T t": h.T @ t, "h.T": h.T}
+    calls = {"hidden_output": lambda: eb.hidden_output(x, weights, biases, activation)}
+    factorizations = (eb.lu_decompose, eb.mgs_qr, eb.householder_qr,
+                      eb.hessenberg_reduce, eb.schur_decompose, eb.svd)
+    for factorize in factorizations:
+        calls[f"{factorize.__name__}(G)"] = lambda f=factorize: f(g)
+    for factorize in (eb.svd, eb.mgs_qr, eb.householder_qr):
+        calls[f"{factorize.__name__}(h)"] = lambda f=factorize: f(h)
+    for factorize in factorizations:
+        factors = factorize(g)
+        for name, b in rhs.items():
+            calls[f"{factorize.__name__}(G).solve({name})"] = (
+                lambda s=factors.solve, b=b: s(b))
+    tri = eb.hessenberg_reduce(g).t
+    for name, b in rhs.items():
+        calls[f"tridiagonal_solve({name})"] = lambda b=b: eb.tridiagonal_solve(tri, b)
+    out.write_text(json.dumps({name: median_call_s(call) for name, call in calls.items()}))
+
+
+def run(args: list, root: Path) -> None:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1", PYTHONPATH=str(root / "src"))
+    subprocess.run([sys.executable, __file__, *map(str, args)], env=env, check=True)
+
+
+def report_routes(old: dict, new: dict) -> None:
+    """Print the route table and the iterations table of two dumps."""
+    import numpy as np
+
+    def rel(x, y):
+        return float(np.linalg.norm(x - y) / max(np.linalg.norm(y), np.finfo(float).tiny))
+
+    print(f"{'route':<12}{'equal':>8}{'max rel change':>17}"
+          f"{'max dist from ' + REFERENCE:>22}")
+    for route in dict.fromkeys(k.split("/", 1)[0] for k in new if not k.startswith(WORK)):
+        keys = [k for k in new if k.split("/", 1)[0] == route]
+        equal = sum(np.array_equal(new[k], old[k]) for k in keys)
+        change = max(rel(new[k], old[k]) for k in keys)
+        dist = max(rel(new[k], new[REFERENCE + k[len(route):]]) for k in keys)
+        print(f"{route:<12}{f'{equal}/{len(keys)}':>8}{change:>17.2e}{dist:>22.2e}")
+    print(f"\n{'iterations of':<20}{'equal':>8}")
+    for name in dict.fromkeys(k.split("/", 1)[0] for k in new if k.startswith(WORK)):
+        keys = [k for k in new if k.split("/", 1)[0] == name]
+        equal = sum(int(new[k]) == int(old[k]) for k in keys)
+        print(f"{name[len(WORK):]:<20}{f'{equal}/{len(keys)}':>8}")
+
+
+def report_times(old: list, new: list) -> None:
+    """Print the timing table of two checkouts' rounds, one {call: seconds} per round."""
+    def quartiles(values):
+        q1, med, q3 = statistics.quantiles(values, n=4)
+        return f"{1e3 * med:8.3f} [{1e3 * q1:7.3f}, {1e3 * q3:7.3f}]"
+
+    print(f"{'call (ms)':<34}{'OLD median [q1, q3]':>28}{'NEW median [q1, q3]':>28}"
+          f"{'NEW/OLD':>9}{'NEW faster':>12}")
+    for name in new[0]:
+        a = [r[name] for r in old]
+        b = [r[name] for r in new]
+        ratio = statistics.median(b) / statistics.median(a)
+        faster = sum(y < x for x, y in zip(a, b))
+        print(f"{name:<34}{quartiles(a):>28}{quartiles(b):>28}{ratio:>9.3f}"
+              f"{f'{faster}/{len(a)}':>12}")
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    # A subprocess: --inputs OUT, or --dump or --time ROOT INPUTS OUT.
+    modes = {"--inputs": write_inputs, "--dump": dump, "--time": time_calls}
+    if argv[:1] and argv[0] in modes:
+        modes[argv[0]](*map(Path, argv[1:]))
+        return 0
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("old_root", type=Path)
+    parser.add_argument("new_root", type=Path)
+    args = parser.parse_args(argv)
+    import numpy as np
+    roots = {"old": args.old_root.resolve(), "new": args.new_root.resolve()}
+    arrays, times = {}, {"old": [], "new": []}
+    with tempfile.TemporaryDirectory() as tmp:
+        inputs = Path(tmp) / "inputs.npz"
+        run(["--inputs", inputs], ROOT)
+        for side, root in roots.items():
+            out = Path(tmp) / f"{side}.npz"
+            run(["--dump", root, inputs, out], root)
+            with np.load(out) as data:
+                arrays[side] = dict(data)
+        for i in range(ROUNDS):
+            for side in ("old", "new") if i % 2 == 0 else ("new", "old"):
+                out = Path(tmp) / f"{side}-{i}.json"
+                run(["--time", roots[side], inputs, out], roots[side])
+                times[side].append(json.loads(out.read_text()))
+    report_routes(arrays["old"], arrays["new"])
+    print()
+    report_times(times["old"], times["new"])
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
