@@ -106,23 +106,46 @@ class SimilarityFactors:
 class SvdFactors:
     """Thin singular value decomposition a ~= u @ diag(sigma) @ v.T.
 
+    u and v are each q @ [top; 0], q the product of compact-WY blocks, and
+    are formed only when read, as _HouseholderFactors.q is. A tall a keeps
+    the blocks of its reduction a == q r in u_blocks and an m x m factor in
+    u_top, so u is n x m; a wide a, factored through its transpose, keeps
+    them in v_blocks and v_top. Every other factor has no blocks and is its
+    top. solve applies q.T block by block, as LAPACK's dgesdd applies its
+    reflectors (dormbr), and never forms u.
+
     iterations counts the work as _tridiag_dc counts it, against
     _tridiag_dc's budget for the 2k x 2k Golub-Kahan tridiagonal, k the
     nonzero pivots.
     """
 
-    u: np.ndarray
+    u_blocks: list
+    u_top: np.ndarray
     sigma: np.ndarray
-    v: np.ndarray
+    v_blocks: list
+    v_top: np.ndarray
     iterations: int = 0
+
+    @property
+    def u(self) -> np.ndarray:
+        """The orthonormal left factor, n x m for a tall a."""
+        return _q_times(self.u_blocks, self.u_top)
+
+    @property
+    def v(self) -> np.ndarray:
+        """The orthonormal right factor, n x m for a wide a."""
+        return _q_times(self.v_blocks, self.v_top)
 
     @_QUIET
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Least-squares x for a @ x ~= b; RankDeficient below _zero_below(sigma[0])."""
-        b, s = _as_rhs(b, "b", self.u.shape[0]), self.sigma
+        rows = (self.u_blocks[0][1] if self.u_blocks else self.u_top).shape[0]
+        b, s = _as_rhs(b, "b", rows), self.sigma
         if s[-1] < _zero_below(s[0]):
             raise RankDeficient("singular values collapse below tolerance")
-        return _finite(self.v @ ((self.u.T @ b) / _by_row(s, b)))
+        _apply_qt(self.u_blocks, b)
+        y = (self.u_top.T @ b[:s.size]) / _by_row(s, b)
+        return _finite(_q_times(self.v_blocks, self.v_top @ y))
 
 
 def _by_row(d: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -175,6 +198,11 @@ def _zero_below(scale):
     return np.maximum(PIVOT_RTOL * scale, np.finfo(float).tiny)
 
 
+def _power_of_two_below(x: float) -> float:
+    """The power of two at or below x > 0; 0.5 for x == 0."""
+    return math.ldexp(0.5, math.frexp(x)[1])
+
+
 def _unit_scale(work: np.ndarray) -> float:
     """Divide work in place by the power of two at or below max |work|; return it.
 
@@ -182,7 +210,7 @@ def _unit_scale(work: np.ndarray) -> float:
     (Blue, ACM TOMS 4(1), 1978), and a power of two rounds nothing: the scale
     multiplied back into sigma, r or t gives the unscaled factorization's bits.
     """
-    scale = math.ldexp(0.5, math.frexp(np.abs(work).max())[1])
+    scale = _power_of_two_below(np.abs(work).max())
     work /= scale
     return scale
 
@@ -452,22 +480,27 @@ def _pivoted_reduce(work: np.ndarray) -> tuple[list, np.ndarray]:
 def _apply_reflectors(blocks: list, n: int, top: np.ndarray) -> np.ndarray:
     """Return q @ [top; 0], q the n-row product of the compact-WY blocks.
 
-    Every orthogonal factor that is formed at all is formed here: q of
-    hessenberg_reduce from top = identity, q of householder_qr from its
-    diagonal of signs, the SVD's u and v from the bidiagonal's vectors. The
-    blocks are applied last to first, block j0 to rows j0: as
-    out -= v (t (v.T out)), reusing the v and t that the reduction built.
-    When top is upper triangular, as a diagonal is, columns < j0 are still
-    zero in rows j0: when block j0 comes, so it cannot change them and is
-    applied to columns j0: only.
+    top is a vector or a matrix of columns. Every orthogonal factor that is
+    formed at all is formed here: q of hessenberg_reduce from top =
+    identity, q of householder_qr from its diagonal of signs, the SVD's u
+    and v from their m x m tops. The blocks are applied last to first,
+    block j0 to rows j0: as out -= v (t (v.T out)), reusing the v and t that
+    the reduction built. When top is an upper-triangular matrix, as a
+    diagonal is, columns < j0 are still zero in rows j0: when block j0
+    comes, so it cannot change them and is applied to columns j0: only.
     """
-    out = np.zeros((n, top.shape[1]))
+    out = np.zeros((n,) + top.shape[1:])
     out[:top.shape[0]] = top
-    triangular = not np.tril(top, -1).any()
+    triangular = top.ndim == 2 and not np.tril(top, -1).any()
     for j0, v, t in reversed(blocks):
-        block = out[j0:, j0 if triangular else 0:]
+        block = out[j0:, j0:] if triangular else out[j0:]
         block -= v @ (t @ (v.T @ block))
     return out
+
+
+def _q_times(blocks: list, top: np.ndarray) -> np.ndarray:
+    """q @ [top; 0], q the product of blocks, block 0 on all its rows; top if there are none."""
+    return _apply_reflectors(blocks, blocks[0][1].shape[0], top) if blocks else top
 
 
 @dataclass(frozen=True)
@@ -485,8 +518,7 @@ class _HouseholderFactors:
     @property
     def q(self) -> np.ndarray:
         """The thin orthonormal factor, its column j times signs[j]."""
-        return _apply_reflectors(self.blocks, self.blocks[0][1].shape[0],
-                                 np.diag(self.signs))
+        return _q_times(self.blocks, np.diag(self.signs))
 
     @_QUIET
     def solve(self, b: np.ndarray) -> np.ndarray:
@@ -950,11 +982,16 @@ def tridiagonal_solve(t, b) -> np.ndarray:
     """
     t, b = _square_system(t, b, "t", "b")
     n = t.shape[0]
-    floor = _zero_below(np.abs(t).max())
+    peak = np.abs(t).max()
+    # The sweeps solve (t / scale) y == b, so no elimination pivot of a huge
+    # t overflows; x is y / scale. A power of two rounds nothing, so
+    # neither the pivot test nor the answer changes a bit on other input.
+    scale = _power_of_two_below(peak)
+    floor = _zero_below(peak) / scale
     # The sweeps run on Python floats, which are faster here than numpy's.
     # A row of rhs is a float for a vector b and a row array for a matrix,
     # so one loop serves both.
-    diag, lower, upper = (np.diag(t, k).tolist() for k in (0, -1, 1))
+    diag, lower, upper = ((np.diag(t, k) / scale).tolist() for k in (0, -1, 1))
     rhs = b.tolist() if b.ndim == 1 else list(b)
     # Thomas elimination: sweep down, then back-substitute.
     for i in range(n):
@@ -967,7 +1004,7 @@ def tridiagonal_solve(t, b) -> np.ndarray:
     rhs[n - 1] = rhs[n - 1] / diag[n - 1]
     for i in range(n - 2, -1, -1):
         rhs[i] = (rhs[i] - upper[i] * rhs[i + 1]) / diag[i]
-    return _finite(np.array(rhs))
+    return _finite(np.array(rhs) / scale)
 
 
 # ---------------------------------------------------------------------------
@@ -979,13 +1016,17 @@ def svd(a) -> SvdFactors:
 
     A wide matrix is factored through its transpose. A tall n x m matrix is
     first reduced by the blocked reduction a == q r to its m x m triangular
-    factor r; a square one is already m x m. Then:
+    factor r (Chan, ACM TOMS 8(1), 1982); a square one is already m x m.
+    Then:
 
     - a column-pivoted reduction r[:, perm] == qp rp (Businger & Golub,
-      Numer. Math. 7, 1965). It gives |rp[j, j]| >= ||rp[j:, c]|| for
-      c > j, so a zero pivot leaves every later row of rp exactly zero.
-      Only the k rows above the first zero pivot go on; the trailing
-      m - k singular values are exact zeros;
+      Numer. Math. 7, 1965), for a square a and for a tall a whose r has a
+      diagonal entry below _zero_below the largest; any other r has full
+      rank and goes on as rp == r, with qp == I and perm the identity. The
+      reduction gives |rp[j, j]| >= ||rp[j:, c]|| for c > j, so a zero pivot
+      leaves every later row of rp exactly zero. Only the k rows above the
+      first zero pivot go on; the trailing m - k singular values are exact
+      zeros;
     - t == rp[:k].T, m x k, is bidiagonalized by reflectors on rows j:
       from the left and on columns j + 1: from the right, t == pl [b; 0]
       pr.T with b upper bidiagonal, diagonal d and superdiagonal f (Golub &
@@ -1003,6 +1044,8 @@ def svd(a) -> SvdFactors:
 
     Since a[:, perm] == q qp rp and rp[:k] == pr v_b diag(sigma) u_b.T
     pl[:, :k].T, u is q qp diag(pr v_b, I) and v[perm] is pl diag(u_b, I).
+    The factors keep q as its compact-WY blocks and qp diag(pr v_b, I) as
+    u's m x m top, so the n x m u is formed only when read.
     """
     a = as_matrix(a, "a")
     wide = a.shape[0] < a.shape[1]
@@ -1011,9 +1054,13 @@ def svd(a) -> SvdFactors:
     scale = _unit_scale(a)
     blocks = _householder_reduce(a) if n > m else []
     r = np.triu(a[:m]) if blocks else a
-    pivot_blocks, perm = _pivoted_reduce(r)
-    # An all-zero rp still bidiagonalizes one zero column, to sigma == 0.
-    k = max(int(np.count_nonzero(np.diag(r))), 1)
+    pivots = np.abs(np.diag(r))
+    if blocks and pivots.min() >= _zero_below(pivots.max()):
+        pivot_blocks, perm, k = [], np.arange(m), m
+    else:
+        pivot_blocks, perm = _pivoted_reduce(r)
+        # An all-zero rp still bidiagonalizes one zero column, to sigma == 0.
+        k = max(int(np.count_nonzero(np.diag(r))), 1)
     t = np.ascontiguousarray(np.triu(r)[:k].T)
     # Right reflector j acts on columns j + 1:, so it is stored at index j + 1.
     left, right = [], [np.zeros(k)]
@@ -1034,14 +1081,14 @@ def svd(a) -> SvdFactors:
     u_r[:k, :k] = _apply_reflectors(_wy_blocks(right, k), k,
                                     _householder_factors(vecs[0::2, :k]).q)
     v_r[:k, :k] = _householder_factors(vecs[1::2, :k]).q
-    u = _apply_reflectors(blocks, n, _apply_reflectors(pivot_blocks, m, u_r))
     v = np.empty((m, m))
     v[perm] = _apply_reflectors(_wy_blocks(left, m), m, v_r)
     sigma = np.zeros(m)
     sigma[:k] = lam[:k] * scale
+    u_side, v_side = (blocks, _q_times(pivot_blocks, u_r)), ([], v)
     if wide:
-        u, v = v, u
-    return SvdFactors(u=u, sigma=sigma, v=v, iterations=iterations)
+        u_side, v_side = v_side, u_side
+    return SvdFactors(*u_side, sigma, *v_side, iterations=iterations)
 
 
 # ---------------------------------------------------------------------------

@@ -845,6 +845,17 @@ def test_tridiagonal_solve_pivot_test_is_relative():
     assert np.allclose(x, 1e13, rtol=1e-15, atol=0.0)
 
 
+def test_tridiagonal_solve_of_a_t_near_the_largest_float():
+    # Unscaled, the multiplier 1 / 1.0001e-12 makes the second pivot about
+    # -1e312, which overflows to -inf and turns x[1] into 0. The sweeps run
+    # on t divided by a power of two, so the pivots stay near 1e12 at most.
+    # The exact answer is [0, 1e-300, 0], whatever t[0, 0].
+    t = 1e300 * np.array([[1.0001e-12, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
+    x = tridiagonal_solve(t, np.ones(3))
+    assert np.abs(t @ x - 1.0).max() <= 1e-12
+    assert np.abs(x - [0.0, 1e-300, 0.0]).max() <= 1e-12 * 1e-300
+
+
 # ---------------------------------------------------------------------------
 # SVD
 # ---------------------------------------------------------------------------
@@ -895,6 +906,24 @@ def test_svd_wide_matrix():
     assert f.u.shape == (1, 1) and f.v.shape == (3, 1)
     assert abs(f.sigma[0] - math.sqrt(14.0)) <= 1e-12
     assert fro(a - f.u @ np.diag(f.sigma) @ f.v.T) <= 1e-10 * fro(a)
+
+
+def test_svd_solve_of_a_wide_matrix_gives_the_minimum_norm_solution(monkeypatch):
+    # A wide a is factored through its transpose, so solve applies that
+    # reduction's q to a vector or to columns, with v never formed.
+    rng = np.random.default_rng(71)
+    a = rng.standard_normal((5, 40))
+    f = svd(a)
+
+    def no_v(self):
+        raise AssertionError("the wide solve formed v")
+
+    monkeypatch.setattr(linalg.SvdFactors, "v", property(no_v))
+    for b in (rng.standard_normal(5), rng.standard_normal((5, 3))):
+        want = np.linalg.lstsq(a, b, rcond=None)[0]
+        got = f.solve(b)
+        assert got.shape == want.shape
+        assert fro(got - want) <= 1e-13 * fro(want)
 
 
 def test_svd_iterations_on_hidden_and_ridge_matrices():
@@ -1084,6 +1113,51 @@ def test_square_svd_skips_the_tall_reduction(monkeypatch):
     svd(a[:6])
     assert calls == [(6, 6), (6, 6)]
     assert tall == [(9, 6)] + calls
+
+
+def test_svd_pivots_only_a_square_or_nearly_rank_deficient_input(monkeypatch):
+    # A tall a's r goes to the column-pivoted reduction only when one of its
+    # diagonal entries is below _zero_below the largest; a square a has no r
+    # of its own and always goes. A wide a is factored through its transpose.
+    calls = []
+    pivoted = linalg._pivoted_reduce
+
+    def counted(work):
+        calls.append(work.shape)
+        return pivoted(work)
+
+    monkeypatch.setattr(linalg, "_pivoted_reduce", counted)
+    h = _sigmoid_hidden(200, 50, 3)  # r's diagonal ratio min / max is 2.6e-3
+    equal = np.random.default_rng(531).standard_normal((20, 7))
+    equal[:, 5] = equal[:, 2]  # r's diagonal ratio is 7.1e-17
+    cases = {
+        "full-rank hidden": (h, 0),
+        "full-rank wide": (h.T, 0),
+        "zero column": (_with_zero_columns(3), 1),
+        "equal columns": (equal, 1),
+        "square": (h[:50], 1),
+        "square normal matrix": (h.T @ h, 1),
+    }
+    for name, (a, want) in cases.items():
+        calls.clear()
+        svd(a)
+        assert len(calls) == want, name
+
+
+def test_svd_route_never_forms_u(monkeypatch):
+    # solve reads u only as u.T b: q.T from the tall reduction's blocks,
+    # applied block by block, then the m x m top's transpose.
+    def no_u(self):
+        raise AssertionError("the svd route formed u")
+
+    monkeypatch.setattr(linalg.SvdFactors, "u", property(no_u))
+    h = _sigmoid_hidden(200, 50, 3)
+    t = np.random.default_rng(5).uniform(0.0, 1.0, 200)
+    w = solve_output_weights(h, t, SolverKind.SVD)
+    oracle = np.linalg.lstsq(h, t, rcond=None)[0]
+    assert fro(w - oracle) <= 1e-10 * fro(oracle)
+    with pytest.raises(AssertionError, match="formed u"):
+        svd(h).u
 
 
 def test_reflector_of_a_column_whose_square_underflows():

@@ -23,12 +23,13 @@ route that raises in either checkout stops the run.
 
 Then 6 rounds each run one ``--time`` subprocess per checkout, and the
 checkout that goes first alternates. On fold 0 of seed 7 a subprocess times
-24 public calls, each after one warm-up call, repeated for about 0.1 s and
+26 public calls, each after one warm-up call, repeated for about 0.1 s and
 at least 5 times, and keeps the median of each:
 
 - ``hidden_output`` of the fold;
 - the six factorizations of ``G``, and ``svd``, ``mgs_qr`` and
   ``householder_qr`` of ``h``;
+- the ridge-0 applies ``svd(h).solve(t)`` and ``householder_qr(h).solve(t)``;
 - each factor of ``G``'s ``solve`` on the vector ``h.T t`` and on the
   100 x 792 ``h.T``;
 - ``tridiagonal_solve`` of ``hessenberg_reduce(G).t`` on the same two.
@@ -140,6 +141,8 @@ def time_calls(root: Path, inputs: Path, out: Path) -> None:
         calls[f"{factorize.__name__}(G)"] = lambda f=factorize: f(g)
     for factorize in (eb.svd, eb.mgs_qr, eb.householder_qr):
         calls[f"{factorize.__name__}(h)"] = lambda f=factorize: f(h)
+    for factorize in (eb.svd, eb.householder_qr):
+        calls[f"{factorize.__name__}(h).solve(t)"] = lambda s=factorize(h).solve: s(t)
     for factorize in factorizations:
         factors = factorize(g)
         for name, b in rhs.items():
