@@ -139,19 +139,25 @@ def write_csv(dataset: Dataset, path) -> None:
     if bad.size:
         raise SchemaError(
             f"row {bad[0] + 1}: layout value is not a whole number in int64")
-    # 1.0 would be written as "1.0"
-    labels = labels.astype(np.int64)
-    layout = layout.astype(np.int64)
     keys = [tuple(row) for row in layout]
     if keys != sorted(keys):
         raise SchemaError("rows must be ordered by (session, run, image)")
     header = ",".join(_META_COLUMNS + tuple(f"f{j}" for j in range(feats.shape[1])))
-    lines = [header]
-    for i in range(feats.shape[0]):
-        meta = f"{layout[i, 0]},{layout[i, 1]},{layout[i, 2]},{labels[i]}"
-        vals = ",".join(f"{x:.17g}" for x in feats[i])
-        lines.append(meta + "," + vals)
+    row = ",".join(["%d"] * 4 + ["%.17g"] * feats.shape[1])
+    lines = [header] + [row % (*meta, label, *vals) for meta, label, vals
+                        in zip(layout.tolist(), labels.tolist(), feats.tolist())]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _feature(path, r: int, c: int, cell: str) -> float:
+    """The finite value of feature cell c of row r; ParseError if it has none."""
+    try:
+        val = float(cell)
+    except ValueError as exc:
+        raise ParseError(f"{path}: row {r}, column f{c}: {exc}") from exc
+    if not math.isfinite(val):
+        raise ParseError(f"{path}: row {r}, column f{c}: non-finite value {cell}")
+    return val
 
 
 def load_csv(path) -> Dataset:
@@ -197,16 +203,14 @@ def load_csv(path) -> Dataset:
         if label not in (0, 1):
             raise InvalidLabel(f"{path}: row {r}: label must be 0 or 1, got {label}")
         labels[r - 1] = label
-        for c, cell in enumerate(cells[4:]):
-            try:
-                val = float(cell)
-            except ValueError as exc:
-                raise ParseError(
-                    f"{path}: row {r}, column f{c}: {exc}") from exc
-            if not math.isfinite(val):
-                raise ParseError(
-                    f"{path}: row {r}, column f{c}: non-finite value {cell}")
-            features[r - 1, c] = val
+        try:
+            vals = [*map(float, cells[4:])]
+        except ValueError:
+            vals = None
+        # A sum of finite values may overflow too; the scan then finds nothing.
+        if vals is None or not math.isfinite(sum(vals)):
+            vals = [_feature(path, r, c, cell) for c, cell in enumerate(cells[4:])]
+        features[r - 1] = vals
     keys = [tuple(row) for row in layout]
     if keys != sorted(keys):
         raise SchemaError(f"{path}: rows are not ordered by (session, run, image)")

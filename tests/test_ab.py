@@ -25,9 +25,9 @@ def test_route_report_counts_equal_arrays_and_iterations(capsys):
     ab.report_routes(old, new)
     rows = _rows(capsys.readouterr().out)
     # svd's second array moved by 0.5 against a norm of 5, and so moved
-    # that far from hh-qr's, which did not change.
-    assert rows["svd"] == ["1/2", "1.00e-01", "1.00e-01"]
-    assert rows["hh-qr"] == ["2/2", "0.00e+00", "0.00e+00"]
+    # that far from hh-qr's, which did not change; OLD's svd was hh-qr's.
+    assert rows["svd"] == ["1/2", "1.00e-01", "0.00e+00", "1.00e-01"]
+    assert rows["hh-qr"] == ["2/2", "0.00e+00", "0.00e+00", "0.00e+00"]
     assert rows["svd(h)"] == ["1/2"]
 
 

@@ -252,6 +252,17 @@ def test_csv_rejects_garbage_cell(tmp_path):
             load_csv(path)
 
 
+def test_csv_loads_a_row_whose_sum_overflows(tmp_path):
+    # A row whose finite values sum past the largest float still loads; a
+    # bad cell after good ones is still the one named.
+    path = tmp_path / "ds.csv"
+    path.write_text("session,run,image,label,f0,f1\n0,0,0,1,1e308,1e308\n")
+    assert np.array_equal(load_csv(path).features, [[1e308, 1e308]])
+    path.write_text("session,run,image,label,f0,f1\n0,0,0,1,1e308,1e999\n")
+    with pytest.raises(ParseError, match="row 1, column f1: non-finite"):
+        load_csv(path)
+
+
 def test_csv_rejects_out_of_order_rows(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("session,run,image,label,f0\n"

@@ -1044,6 +1044,7 @@ def test_svd_invariants_at_400x200(matrix):
     h = _sigmoid_hidden(400, 200, 21)
     a = h if matrix == "hidden" else h.T @ h + 1e-3 * np.eye(200)
     f = svd(a)
+    assert fro(f.u.T @ f.u - np.eye(200)) <= 1e-12
     assert fro(f.v.T @ f.v - np.eye(200)) <= 1e-12
     assert fro(a - f.u @ np.diag(f.sigma) @ f.v.T) <= 1e-13 * fro(a)
 
@@ -1096,9 +1097,8 @@ def test_svd_square_singular_psd_gives_an_exact_zero():
 
 
 def test_square_svd_skips_the_tall_reduction(monkeypatch):
-    # A square a is already m x m; a tall a is reduced to m x m first. Every
-    # other _householder_reduce call makes a half of the tridiagonal's
-    # eigenvectors orthonormal, m x m here.
+    # A square a is already m x m; a tall a is reduced to m x m first, and
+    # that is the only _householder_reduce call of a full-rank input.
     calls = []
     reduce = linalg._householder_reduce
 
@@ -1111,8 +1111,34 @@ def test_square_svd_skips_the_tall_reduction(monkeypatch):
     svd(a)
     tall, calls[:] = calls[:], []
     svd(a[:6])
-    assert calls == [(6, 6), (6, 6)]
-    assert tall == [(9, 6)] + calls
+    assert calls == []
+    assert tall == [(9, 6)]
+
+
+def test_svd_halves_take_the_householder_qr_only_when_degenerate(monkeypatch):
+    # The halves of a full-rank input's eigenvectors are orthonormal to far
+    # below sqrt(eps), so one Newton-Schulz step finishes them. A zero
+    # input's sigma == 0 pair has halves of norm 1 and 0, which only the
+    # Householder QR makes orthonormal.
+    calls = []
+    factors = linalg._householder_factors
+
+    def counted(work, *args):
+        calls.append(work.shape)
+        return factors(work, *args)
+
+    monkeypatch.setattr(linalg, "_householder_factors", counted)
+    h = _sigmoid_hidden(200, 50, 3)
+    for a in (h, h.T @ h + 0.1 * np.eye(50)):
+        svd(a)
+    assert calls == []
+    for a in (np.zeros((4, 2)), np.zeros((20, 7)), np.zeros((7, 7))):
+        calls.clear()
+        f = svd(a)
+        assert calls == [(1, 1), (1, 1)]
+        m = a.shape[1]
+        assert fro(f.u.T @ f.u - np.eye(m)) <= 1e-13
+        assert fro(f.v.T @ f.v - np.eye(m)) <= 1e-13
 
 
 def test_svd_pivots_only_a_square_or_nearly_rank_deficient_input(monkeypatch):

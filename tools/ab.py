@@ -16,10 +16,11 @@ arrays: each of the six routes' ``solve_output_weights`` at ridge 0 and 0.1
 and ``hat_diagnostic`` at 0.1. It also records the ``iterations`` of
 ``svd(h)``, ``svd(G)`` and ``schur_decompose(G)``, with ``G = h.T h + 0.1 I``:
 72 counts. Per route the tool prints how many arrays are ``np.array_equal``
-to OLD_ROOT's, the largest relative change ``||new - old|| / ||old||`` and
-the largest relative distance of NEW_ROOT's array from the ``hh-qr`` route's.
-Per factorization it prints how many folds count the same iterations. A
-route that raises in either checkout stops the run.
+to OLD_ROOT's, the largest relative change ``||new - old|| / ||old||`` and,
+OLD_ROOT's next to NEW_ROOT's, the largest relative distance of each
+checkout's array from its own ``hh-qr`` route's. Per factorization it prints
+how many folds count the same iterations. A route that raises in either
+checkout stops the run.
 
 Then 6 rounds each run one ``--time`` subprocess per checkout, and the
 checkout that goes first alternates. On fold 0 of seed 7 a subprocess times
@@ -168,13 +169,15 @@ def report_routes(old: dict, new: dict) -> None:
         return float(np.linalg.norm(x - y) / max(np.linalg.norm(y), np.finfo(float).tiny))
 
     print(f"{'route':<12}{'equal':>8}{'max rel change':>17}"
-          f"{'max dist from ' + REFERENCE:>22}")
+          f"{'max dist from ' + REFERENCE + ': OLD':>27}{'NEW':>10}")
     for route in dict.fromkeys(k.split("/", 1)[0] for k in new if not k.startswith(WORK)):
         keys = [k for k in new if k.split("/", 1)[0] == route]
         equal = sum(np.array_equal(new[k], old[k]) for k in keys)
         change = max(rel(new[k], old[k]) for k in keys)
-        dist = max(rel(new[k], new[REFERENCE + k[len(route):]]) for k in keys)
-        print(f"{route:<12}{f'{equal}/{len(keys)}':>8}{change:>17.2e}{dist:>22.2e}")
+        dist = [max(rel(side[k], side[REFERENCE + k[len(route):]]) for k in keys)
+                for side in (old, new)]
+        print(f"{route:<12}{f'{equal}/{len(keys)}':>8}{change:>17.2e}"
+              f"{dist[0]:>27.2e}{dist[1]:>10.2e}")
     print(f"\n{'iterations of':<20}{'equal':>8}")
     for name in dict.fromkeys(k.split("/", 1)[0] for k in new if k.startswith(WORK)):
         keys = [k for k in new if k.split("/", 1)[0] == name]
