@@ -1,7 +1,9 @@
 """Session-fold benchmark: ``elm.train`` + ``elm.predict`` per route and fold.
 
-The library, the CLI and the benchmark thus share one training pipeline and
-one training-cost span, ``TrainResult.train_s`` (hidden output plus solve).
+The library, the CLI and the benchmark share one training-cost span:
+hidden output plus solve, which ``TrainResult.train_s`` records here. The
+benchmark (``bench/harness.run_cell``) times that span itself, in its own
+fold loop, and never calls ``elm.train``; one shared loop is ROADMAP item 16.
 """
 
 from __future__ import annotations

@@ -62,10 +62,12 @@ class LuFactors:
     u: np.ndarray
     perm: np.ndarray
 
+    @_QUIET
     def solve(self, b: np.ndarray) -> np.ndarray:
         """x with a @ x == b, b a vector or a matrix of columns."""
         b = _as_rhs(b, "b", self.perm.size)
-        return backward_substitute(self.u, forward_substitute(self.l, b[self.perm]))
+        y = _substitute(self.l, b[self.perm], lower=True)
+        return _finite(_substitute(self.u, y, lower=False))
 
 
 @dataclass(frozen=True)
@@ -79,7 +81,7 @@ class QrFactors:
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Least-squares x for a @ x ~= b, b a vector or a matrix of columns."""
         qtb = self.q.T @ _as_rhs(b, "b", self.q.shape[0])
-        return backward_substitute(self.r, _finite(qtb))
+        return _finite(_substitute(self.r, qtb, lower=False))
 
 
 @dataclass(frozen=True)
@@ -99,7 +101,7 @@ class SimilarityFactors:
     def solve(self, b: np.ndarray) -> np.ndarray:
         """x with a @ x == b, b a vector or a matrix of columns."""
         b = _as_rhs(b, "b", self.q.shape[0])
-        return _finite(self.q @ tridiagonal_solve(self.t, _finite(self.q.T @ b)))
+        return _finite(self.q @ _thomas(self.t, self.q.T @ b))
 
 
 @dataclass(frozen=True)
@@ -527,7 +529,7 @@ class _HouseholderFactors:
         _apply_qt(self.blocks, qtb)
         m = self.r.shape[0]
         qtb[:m] *= _by_row(self.signs, qtb)
-        return backward_substitute(self.r, _finite(qtb[:m]))
+        return _finite(_substitute(self.r, qtb[:m], lower=False))
 
 
 def _householder_factors(work: np.ndarray, scale: float = 1.0) -> _HouseholderFactors:
@@ -573,7 +575,7 @@ def triangular_inverse(r) -> np.ndarray:
     Raises SingularMatrix when a diagonal entry falls below _zero_below the
     largest entry of r.
 
-    No solver route calls it: the QR routes solve r by backward_substitute.
+    No solver route calls it: the QR routes solve r by _substitute.
     It stays public because the traced benchmark run (bench/tracing.py)
     wraps it by name and reports its per-layer metrics; it goes when those
     do.
@@ -980,7 +982,11 @@ def tridiagonal_solve(t, b) -> np.ndarray:
     SingularMatrix when an elimination pivot falls below _zero_below the
     largest entry of t.
     """
-    t, b = _square_system(t, b, "t", "b")
+    return _finite(_thomas(*_square_system(t, b, "t", "b")))
+
+
+def _thomas(t: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve t @ x = b by Thomas elimination, reading only t's three central diagonals."""
     n = t.shape[0]
     peak = np.abs(t).max()
     # The sweeps solve (t / scale) y == b, so no elimination pivot of a huge
@@ -1004,7 +1010,7 @@ def tridiagonal_solve(t, b) -> np.ndarray:
     rhs[n - 1] = rhs[n - 1] / diag[n - 1]
     for i in range(n - 2, -1, -1):
         rhs[i] = (rhs[i] - upper[i] * rhs[i + 1]) / diag[i]
-    return _finite(np.array(rhs) / scale)
+    return np.array(rhs) / scale
 
 
 # ---------------------------------------------------------------------------

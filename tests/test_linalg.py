@@ -1348,6 +1348,40 @@ def test_householder_qr_solve_agrees_with_its_blocked_factors():
         assert fro(got - want) <= 1e-12 * fro(want)
 
 
+def _hh_qr_composition(f, b):
+    qtb = b.copy()
+    linalg._apply_qt(f.blocks, qtb)
+    m = f.r.shape[0]
+    return backward_substitute(f.r, qtb[:m] * linalg._by_row(f.signs, qtb))
+
+
+# The composition through the public wrappers that each solve must match
+# bit for bit; hh-qr's applies q.T block by block, as its solve does.
+_SOLVE_COMPOSITIONS = {
+    lu_decompose: lambda f, b: backward_substitute(f.u, forward_substitute(f.l, b[f.perm])),
+    mgs_qr: lambda f, b: backward_substitute(f.r, f.q.T @ b),
+    householder_qr: _hh_qr_composition,
+    hessenberg_reduce: lambda f, b: f.q @ tridiagonal_solve(f.t, f.q.T @ b),
+}
+
+
+@pytest.mark.parametrize("factorize", [lu_decompose, mgs_qr, householder_qr,
+                                       hessenberg_reduce, schur_decompose, svd])
+def test_factor_solves_validate_b_once(factorize, monkeypatch):
+    rng = np.random.default_rng(61)
+    tall = rng.standard_normal((9, 5))
+    f = factorize(tall.T @ tall + np.eye(5))
+    as_array, calls = linalg._as_array, []
+    monkeypatch.setattr(linalg, "_as_array",
+                        lambda a, name, ndim: calls.append(name) or as_array(a, name, ndim))
+    for b in (rng.standard_normal(5), rng.standard_normal((5, 2))):
+        calls.clear()
+        x = f.solve(b)
+        assert calls == ["b"]
+        if factorize in _SOLVE_COMPOSITIONS:
+            assert np.array_equal(x, _SOLVE_COMPOSITIONS[factorize](f, b))
+
+
 def test_svd_solve_rejects_rank_deficient_factors():
     fac = svd(np.ones((10, 3)))
     with pytest.raises(RankDeficient):
@@ -1395,6 +1429,37 @@ def test_a_solution_that_overflows_raises(name, b):
     # of returning inf or blaming b, and warns of nothing on the way.
     with pytest.raises(SingularMatrix, match="overflows"):
         _SOLVES[name](0.5 * np.eye(2), b)
+
+
+def _hh_qtb(f, b):
+    linalg._apply_qt(f.blocks, b)
+    return linalg._finite(b)
+
+
+_OVERFLOW_INSIDE = {
+    # (factorize, a, b, the solve's first step), which already overflows:
+    # only the check of the answer is left to catch it.
+    "lu": (lu_decompose, [[1.0, 0.0], [-1.0, 0.5]], [1e308, 1e308],
+           lambda f, b: forward_substitute(f.l, b[f.perm])),
+    "mgs-qr": (mgs_qr, [[0.5, 0.5], [0.5, -0.5]], [1.5e308, 1.5e308],
+               lambda f, b: linalg._finite(f.q.T @ b)),
+    "hh-qr": (householder_qr, [[0.5, 0.5], [0.5, -0.5]], [1.5e308, 1.5e308], _hh_qtb),
+    "hessenberg": (hessenberg_reduce, [[1.0, 1.0], [1.0, 2.0]], [1e308, -1e308],
+                   lambda f, b: tridiagonal_solve(f.t, f.q.T @ b)),
+}
+
+
+@pytest.mark.parametrize("columns", [False, True], ids=["vector", "columns"])
+@pytest.mark.parametrize("case", list(_OVERFLOW_INSIDE))
+def test_a_solve_that_overflows_before_its_last_step_raises(case, columns):
+    factorize, a, b, first_step = _OVERFLOW_INSIDE[case]
+    b = np.column_stack((b, np.ones(2))) if columns else np.array(b)
+    f = factorize(np.array(a))
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(SingularMatrix, match="overflows"):
+        first_step(f, b.copy())
+    with pytest.raises(SingularMatrix, match="overflows"):
+        f.solve(b)
 
 
 def test_triangular_inverse_that_overflows_raises():
