@@ -30,11 +30,14 @@ SYMMETRY_RTOL = 1e-10
 EIGEN_ITER_FACTOR = 100
 # Reflectors per compact-WY block of the Householder kernel. Of 16, 24, 32
 # and 48, 32 gave the fastest reduction at 5000x500 and was within timing
-# noise of the fastest reduction plus q at 792x100 (1 BLAS thread). It also
-# bounds the blocks that Schur's divide and conquer solves by QL: of 16, 32
-# and 64, 32 gave the fastest schur_decompose at width 100 and was within
-# 8% of 16 at width 500.
+# noise of the fastest reduction plus q at 792x100 (1 BLAS thread).
 _NB = 32
+# Most rows of a block that divide and conquer solves by QL, not by tearing.
+# With one secular solve per tree level, leaves of 8, 16 and 32 rows gave
+# svd 18.4-19.2, 18.6-19.1 and 19.8-20.2 ms and schur_decompose 7.3-7.7,
+# 7.0-7.3 and 7.5-7.7 ms on a width-100 ridge normal matrix, and svd 0.68,
+# 0.63 and 0.64 s at 5000x500, schur within 5% (1 BLAS thread).
+_LEAF = 16
 _EPS = float(np.finfo(float).eps)
 _TINY_OVER_EPS = float(np.finfo(float).tiny) / _EPS
 # Decorates every solve, which then checks its result once by _finite: with
@@ -758,11 +761,19 @@ class _SchurFactors(SimilarityFactors):
 
 
 def _tears(lo: int, hi: int) -> list:
-    """The (lo, mid, hi) splits that halve rows lo:hi into blocks of <= _NB, parents first."""
-    if hi - lo <= _NB:
-        return []
-    mid = (lo + hi) // 2
-    return [(lo, mid, hi)] + _tears(lo, mid) + _tears(mid, hi)
+    """The (lo, mid, hi) splits that halve rows lo:hi into blocks of <= _LEAF rows.
+
+    One list per depth of the tree, the top tear first. The splits of one
+    depth hold disjoint rows, and each lies inside one split of the depth
+    above, so a depth can be merged once the one below it is.
+    """
+    levels, spans = [], [(lo, hi)]
+    while True:
+        level = [(a, (a + b) // 2, b) for a, b in spans if b - a > _LEAF]
+        if not level:
+            return levels
+        levels.append(level)
+        spans = [half for a, mid, b in level for half in ((a, mid), (mid, b))]
 
 
 def _two_pole_step(c, s, big_s, dp, dq, t, lo, hi):
@@ -780,59 +791,82 @@ def _two_pole_step(c, s, big_s, dp, dq, t, lo, hi):
                     np.where((large > lo) & (large < hi), large, 0.5 * (lo + hi)))
 
 
-def _secular_roots(d: np.ndarray, z: np.ndarray, rho: float,
-                   budget: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Roots of 1 / rho + sum_j z_j^2 / (d_j - lam) == 0 for ascending, distinct d.
+def _secular_roots(problems: list, budget: int) -> list:
+    """Roots of 1 / rho + sum_j z_j^2 / (d_j - lam) == 0 for each (d, z, rho) of problems.
 
-    Returns lam, delta with delta[j, i] == d_j - lam_i to full relative
-    accuracy, and the passes used. Root i lies in (d_i, d_i+1), the last in
-    (d_k-1, d_k-1 + rho z.z]. Each root is held as tau from its origin, the
-    pole nearer to it, which the secular function's sign at the interval's
-    midpoint names (LAPACK's dlaed4); then d_j - lam_i == (d_j - d_origin)
-    - tau cancels nothing. Every pass evaluates the function at every root
-    and moves each one not yet converged to the root of a two-pole rational
-    model that matches the function's value and slope: poles d_p and d_q,
-    weighted by the slopes of the sums over the poles below d_q and from
-    d_q up (the "middle way" of R.-C. Li, LAPACK Working Note 89, 1994).
-    q is i + 1 and p is i, except for the last root, which lies above both
-    of its model's poles k - 2 and k - 1. A step that leaves the root's
-    bracket, narrowed by the sign at every pass, bisects it. A root stops
-    when |f| <= eps times dlaed4's bound on the rounding error of the sum.
-    Raises NoConvergence past budget passes.
+    Each d is ascending and distinct. Returns one (lam, delta, passes) per
+    problem, with delta[j, i] == d_j - lam_i to full relative accuracy and
+    passes the pass at which the problem's last root stopped. Root i lies
+    in (d_i, d_i+1), the last in (d_k-1, d_k-1 + rho z.z]. Each root is held
+    as tau from its origin, the pole nearer to it, which the secular
+    function's sign at the interval's midpoint names (LAPACK's dlaed4);
+    then d_j - lam_i == (d_j - d_origin) - tau cancels nothing. Every pass
+    evaluates the function at every root and moves each one not yet
+    converged to the root of a two-pole rational model that matches the
+    function's value and slope: poles d_p and d_q, weighted by the slopes
+    of the sums over the poles below d_q and from d_q up (the "middle way"
+    of R.-C. Li, LAPACK Working Note 89, 1994). q is i + 1 and p is i,
+    except for the last root, which lies above both of its model's poles
+    k - 2 and k - 1. A step that leaves the root's bracket, narrowed by the
+    sign at every pass, bisects it. A root stops when |f| <= eps times
+    dlaed4's bound on the rounding error of the sum.
+
+    All problems are solved in one set of passes, one root per row, so a
+    batch costs the numpy calls of one problem. A row's poles are its own
+    problem's, padded out to the widest problem with poles at +inf of
+    z == 0, whose term is exactly 0 / inf == 0; rho, the bracket, p, q and
+    the origin are per row. The padding changes only the order of the sums.
+    Raises NoConvergence once the problems' passes so far sum past budget.
     """
-    k = d.size
-    z2 = z * z
-    idx = np.arange(k)
+    sizes = [d.size for d, _, _ in problems]
+    width, rows = max(sizes), sum(sizes)
+    pad_d = np.full((len(problems), width), np.inf)
+    pad_z2 = np.zeros((len(problems), width))
+    for i, (d, z, _) in enumerate(problems):
+        pad_d[i, :d.size] = d
+        pad_z2[i, :d.size] = z * z
+    starts = np.cumsum([0] + sizes[:-1])
+    owner = np.repeat(np.arange(len(problems)), sizes)
+    rho = np.array([r for _, _, r in problems])[owner]
+    k = np.array(sizes)[owner]
+    poles, z2 = pad_d[owner], pad_z2[owner]
+    row = np.arange(rows)
+    idx = row - starts[owner]
+    col = np.arange(width)
+    last = idx == k - 1
     q = np.minimum(idx + 1, k - 1)
     p = np.maximum(q - 1, 0)
     # The last root's bracket ends at d_k-1 + 2 rho z.z, where f > 0, so the
     # root, at most d_k-1 + rho z.z, lies strictly inside it.
-    gap = np.append(np.diff(d), 2.0 * rho * z2.sum())
+    own = poles[row, idx]
+    gap = np.where(last, 2.0 * rho * pad_z2.sum(axis=1)[owner],
+                   poles[row, np.minimum(idx + 1, width - 1)] - own)
     mid = 0.5 * gap
-    span = d[None, :] - d[:, None]  # span[i, j] == d_j - d_i
+    span = poles - own[:, None]  # span[i, j] == d_j - d_i
     at_mid = span - mid[:, None]
     f_mid = 1.0 / rho + (z2 / at_mid).sum(axis=1)
-    right = (f_mid < 0.0) & (idx < k - 1)
+    right = (f_mid < 0.0) & ~last
     origin = idx + right
-    base = span[origin]  # d_j - d_origin
+    base = poles - poles[row, origin][:, None]  # d_j - d_origin
     lo = np.where(f_mid < 0.0, np.where(right, mid - gap, mid), 0.0)
     hi = np.where(f_mid < 0.0, np.where(right, 0.0, gap), mid)
     # The first step: the model's poles exact and the other terms frozen at
     # the midpoint (dlaed4's start). A one-pole problem (k == 1) has p == q
     # and s == 0.
-    zp2 = np.where(p < q, z2[p], 0.0)
-    rest = f_mid - zp2 / at_mid[idx, p] - z2[q] / at_mid[idx, q]
-    tau = _two_pole_step(rest, zp2, z2[q], base[idx, p], base[idx, q], 0.0, lo, hi)
+    zp2 = np.where(p < q, z2[row, p], 0.0)
+    rest = f_mid - zp2 / at_mid[row, p] - z2[row, q] / at_mid[row, q]
+    tau = _two_pole_step(rest, zp2, z2[row, q], base[row, p], base[row, q], 0.0, lo, hi)
     # The error bound weights each term by how often it enters dlaed4's
     # running partial sums (|origin - j|), plus 8 off the origin, 3 at it.
-    weight = np.abs(origin[:, None] - idx[None, :]) + 8.0
-    weight[idx, origin] = 3.0
-    below = (idx[None, :] < q[:, None]).astype(float)
-    live = np.ones(k, dtype=bool)
-    passes = 0
+    weight = np.abs(origin[:, None] - col[None, :]) + 8.0
+    weight[row, origin] = 3.0
+    below = (col[None, :] < q[:, None]).astype(float)
+    live = np.ones(rows, dtype=bool)
+    unsolved = np.ones(len(problems), dtype=bool)
+    passes = np.zeros(len(problems), dtype=int)
     while True:
-        passes += 1
-        if passes > budget:
+        passes += unsolved
+        if passes.sum() > budget:
             raise NoConvergence(f"secular equation unsolved within {budget} passes")
         delta = base - tau[:, None]
         term = z2 / delta
@@ -841,22 +875,25 @@ def _secular_roots(d: np.ndarray, z: np.ndarray, rho: float,
         dw = slope.sum(axis=1)
         bound = np.einsum("ij,ij->i", weight, np.abs(term)) + 2.0 / rho + np.abs(tau) * dw
         live &= np.abs(f) > _EPS * bound
-        if not live.any():
+        unsolved = np.logical_or.reduceat(live, starts)
+        if not unsolved.any():
             break
         lo = np.where(f < 0.0, tau, lo)
         hi = np.where(f > 0.0, tau, hi)
-        dp, dq = delta[idx, p], delta[idx, q]
+        dp, dq = delta[row, p], delta[row, q]
         psi = np.einsum("ij,ij->i", below, slope)
         phi = dw - psi
         step = _two_pole_step(f - dp * psi - dq * phi, dp * dp * psi, dq * dq * phi,
                               dp, dq, tau, lo, hi)
         tau = np.where(live, step, tau)
-    return d[origin] + tau, delta.T, passes
+    lam = poles[row, origin] + tau
+    return [(lam[s:s + size], delta[s:s + size, :size].T, int(n))
+            for s, size, n in zip(starts.tolist(), sizes, passes)]
 
 
-def _merge(d: np.ndarray, vecs: np.ndarray, split: int, beta: float,
-           budget: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Eigenpairs of a tridiagonal from those of its two halves, torn at split.
+def _merge_deflate(d: np.ndarray, vecs: np.ndarray, split: int,
+                   beta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple]:
+    """The first half of a merge: the deflation, and the secular problem it leaves.
 
     d and the columns of vecs are the eigenpairs of rows :split and split:
     after Cuppen's tear, which subtracted |beta| from the diagonal on both
@@ -864,13 +901,13 @@ def _merge(d: np.ndarray, vecs: np.ndarray, split: int, beta: float,
     unit (e_split-1 + sign(beta) e_split) / sqrt(2) and rho == 2 |beta|.
     The merge follows LAPACK's dlaed2/dlaed3 (Gu & Eisenstat, SIMAX 16(1),
     1995): z, the vector v seen from the halves' eigenvectors, comes from
-    the two boundary rows of vecs. A pole whose rho |z_j| is below tol ==
-    8 eps max(|d|, |z|) keeps its pair; a pole that Givens rotation of its
-    z entry into the next one's changes by less than tol keeps its rotated
-    pair. The rest solve the secular equation, and their z is recomputed
-    from the computed roots by the Loewner formula, so the new eigenvectors
-    are orthogonal to working accuracy however close the roots are. They
-    reach vecs by one product. Returns d, vecs and the secular passes.
+    the two boundary rows of vecs, and the pairs are sorted by d. A pole
+    whose rho |z_j| is below tol == 8 eps max(|d|, |z|) keeps its pair; a
+    pole that Givens rotation of its z entry into the next one's changes by
+    less than tol keeps its rotated pair. Returns the sorted, rotated d and
+    vecs; keep, the indices of the poles left; and their secular problem
+    (d[keep], z[keep], rho) for _secular_roots. keep is empty when every
+    pole deflates, and then d and vecs are the merged eigenpairs.
     """
     z = (vecs[split - 1] + math.copysign(1.0, beta) * vecs[split]) / math.sqrt(2.0)
     rho = 2.0 * abs(beta)
@@ -879,7 +916,7 @@ def _merge(d: np.ndarray, vecs: np.ndarray, split: int, beta: float,
     tol = 8.0 * _EPS * max(np.abs(d).max(), np.abs(z).max())
     poles = np.flatnonzero(rho * np.abs(z) > tol)
     if not poles.size:
-        return d, vecs, 0
+        return d, vecs, poles, (d[poles], z[poles], rho)
     # Pairs are tested in order, since a rotation changes the next pair's d.
     # The scan runs on Python floats, which are faster here than numpy's.
     d, z = d.tolist(), z.tolist()
@@ -898,18 +935,30 @@ def _merge(d: np.ndarray, vecs: np.ndarray, split: int, beta: float,
         prev = j
     keep.append(prev)
     d, z, keep = np.array(d), np.array(z), np.array(keep)
-    lam, delta, passes = _secular_roots(d[keep], z[keep], rho, budget)
+    return d, vecs, keep, (d[keep], z[keep], rho)
+
+
+def _merge_vectors(d: np.ndarray, vecs: np.ndarray, keep: np.ndarray, problem: tuple,
+                   lam: np.ndarray, delta: np.ndarray) -> None:
+    """The second half of a merge: the poles keep of d and vecs become the roots' eigenpairs.
+
+    d, vecs, keep and problem are _merge_deflate's, lam and delta
+    _secular_roots' for problem; d and vecs are updated in place. z is
+    recomputed from the computed roots by the Loewner formula, so the new
+    eigenvectors are orthogonal to working accuracy however close the roots
+    are. They reach vecs by one product.
+    """
+    poles, z, _ = problem
     # The Loewner formula: zhat_j^2 == prod_i (lam_i - d_j) / prod_(i != j) (d_i - d_j),
     # up to the factor rho that the normalization drops, taken as a product
     # of ratios near 1 so that it neither overflows nor underflows.
-    span = d[keep][:, None] - d[keep][None, :]
+    span = poles[:, None] - poles[None, :]
     np.fill_diagonal(span, 1.0)
-    zhat = np.copysign(np.sqrt(-np.prod(delta / span, axis=1)), z[keep])
+    zhat = np.copysign(np.sqrt(-np.prod(delta / span, axis=1)), z)
     u = zhat[:, None] / delta
     u /= np.sqrt(np.einsum("ij,ij->j", u, u))
     d[keep] = lam
     vecs[:, keep] = vecs[:, keep] @ u
-    return d, vecs, passes
 
 
 def _tridiag_dc(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
@@ -924,20 +973,25 @@ def _tridiag_dc(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, i
     NoConvergence is raised.
 
     Cuppen's rank-one tears (Numer. Math. 36, 1981), rho == |beta| at each,
-    halve the tridiagonal until every block has at most _NB rows. The
+    halve the tridiagonal until every block has at most _LEAF rows. The
     blocks are solved together by one _tridiag_eigen call on the torn
     tridiagonal: its zeros at the tears keep every QL chase inside its
     block. A block's eigenvector rows are zero outside its own columns, so
     the call turns block-local rows: column j of row i stands for column
-    j of the block that holds row i. The blocks are then merged bottom-up
-    by _merge.
+    j of the block that holds row i. The blocks are then merged bottom-up,
+    one depth of _tears at a time. The merges of a depth hold disjoint
+    rows: each is deflated by _merge_deflate, the secular problems left
+    are solved by one _secular_roots call, and each merge is finished by
+    _merge_vectors.
     """
     n = d.size
     de = np.concatenate((d, e))
     scale = _unit_scale(de)
     d, e = de[:n], de[n:]
     max_iter = EIGEN_ITER_FACTOR * n
-    tears = [(lo, mid, hi, float(e[mid - 1])) for lo, mid, hi in _tears(0, n)]
+    levels = [[(lo, mid, hi, float(e[mid - 1])) for lo, mid, hi in level]
+              for level in _tears(0, n)]
+    tears = [tear for level in levels for tear in level]
     for _, mid, _, beta in tears:
         d[mid - 1] -= abs(beta)
         d[mid] -= abs(beta)
@@ -951,10 +1005,17 @@ def _tridiag_dc(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, i
     vecs = np.zeros((n, n))
     for lo, hi in blocks:
         vecs[lo:hi, lo:hi] = zt[lo:hi, :hi - lo].T
-    for lo, mid, hi, beta in reversed(tears):
-        d[lo:hi], vecs[lo:hi, lo:hi], passes = _merge(d[lo:hi], vecs[lo:hi, lo:hi],
-                                                      mid - lo, beta, max_iter - total)
-        total += passes
+    for level in reversed(levels):
+        merges = [_merge_deflate(d[lo:hi], vecs[lo:hi, lo:hi], mid - lo, beta)
+                  for lo, mid, hi, beta in level]
+        solved = [merge for merge in merges if merge[2].size]
+        if solved:
+            roots = _secular_roots([problem for *_, problem in solved], max_iter - total)
+            for merge, (lam, delta, passes) in zip(solved, roots):
+                _merge_vectors(*merge, lam, delta)
+                total += passes
+        for (lo, _, hi, _), (d_merged, vecs_merged, _, _) in zip(level, merges):
+            d[lo:hi], vecs[lo:hi, lo:hi] = d_merged, vecs_merged
     order = np.argsort(d)[::-1]
     return d[order] * scale, vecs[:, order], total
 

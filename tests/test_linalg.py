@@ -636,7 +636,7 @@ def test_schur_wavefront_matches_rotation_loop(name):
     assert np.array_equal(d_got, d)
     assert np.abs(got - zt).max() <= 8 * n * np.finfo(float).eps
     assert total_got == total
-    if n <= linalg._NB:
+    if n <= linalg._LEAF:
         # No tear: Schur's eigenvalues are the wavefront's, bit for bit.
         assert np.array_equal(np.diag(schur_decompose(a).t), np.sort(d)[::-1])
 
@@ -661,7 +661,7 @@ def _dc_cases():
     e = np.concatenate((half_e, [0.7], half_e))
     glued = np.diag(np.concatenate((half_d, half_d))) + np.diag(e, 1) + np.diag(e, -1)
     split = {}
-    # _tears halves 64 rows once, at row 32.
+    # _tears' top tear of 64 rows is at row 32.
     for name, sizes in (("at-the-tear", (32, 32)), ("off-the-tear", (20, 44))):
         a = np.zeros((64, 64))
         edge = 0
@@ -702,21 +702,22 @@ def test_schur_divide_and_conquer(name):
     # tiny couplings; an exact zero coupling leaves rho == 0 at a tear; the
     # graded matrix spans six decades.
     a = _dc_cases()[name]
-    assert a.shape[0] > linalg._NB
+    assert a.shape[0] > linalg._LEAF
     _assert_schur(a, schur_decompose(a))
 
 
 @pytest.mark.parametrize("name", ["psd-65", "graded"])
 def test_schur_ql_blocks_turn_block_local_rows(name):
-    # Torn as _tridiag_dc tears it, psd-65 has blocks of 32, 16 and 17 rows
-    # and graded (90 rows) four blocks, two of them starting on odd rows.
+    # Torn as _tridiag_dc tears it, psd-65 has blocks of 16, 16, 16, 8 and
+    # 9 rows and graded (90 rows) eight of 11 or 12, four of them starting
+    # on odd rows.
     # Rows that hold only their own block's columns must end as the n-wide
     # identity rows do, bit for bit.
     a = _dc_cases()[name]
     n = a.shape[0]
     t = hessenberg_reduce(a).t
     d, e = np.diag(t).copy(), np.diag(t, -1).copy()
-    tears = linalg._tears(0, n)
+    tears = [tear for level in linalg._tears(0, n) for tear in level]
     for _, mid, _ in tears:
         d[mid - 1:mid + 1] -= abs(e[mid - 1])
         e[mid - 1] = 0.0
@@ -749,6 +750,77 @@ def test_schur_secular_passes_count_against_the_budget(monkeypatch):
         schur_decompose(a)
 
 
+def _count_secular_calls(monkeypatch):
+    calls = []
+    solve = linalg._secular_roots
+
+    def counted(problems, budget):
+        calls.append([d.size for d, _, _ in problems])
+        return solve(problems, budget)
+
+    monkeypatch.setattr(linalg, "_secular_roots", counted)
+    return calls
+
+
+def test_divide_and_conquer_solves_one_secular_equation_per_level(monkeypatch):
+    # A full-rank 200x100 h has a 200-row Golub-Kahan tridiagonal, torn in
+    # four levels (into 16 leaves of 12 or 13 rows): one secular solve each,
+    # not one per merge (1 + 2 + 4 + 8 == 15).
+    h = _sigmoid_hidden(200, 100, 5)
+    calls = _count_secular_calls(monkeypatch)
+    f = svd(h)
+    assert f.sigma.min() > 0.0
+    assert [len(level) for level in linalg._tears(0, 200)] == [1, 2, 4, 8]
+    assert [len(sizes) for sizes in calls] == [8, 4, 2, 1]
+
+
+def test_a_level_whose_merges_all_deflate_solves_nothing(monkeypatch):
+    # Couplings of 1e-14 deflate nearly every pole by its small z, so some
+    # level of merges is left with no secular problem at all.
+    a = _dc_cases()["diagonal-tiny-off"]
+    calls = _count_secular_calls(monkeypatch)
+    _assert_schur(a, schur_decompose(a))
+    assert len(calls) < len(linalg._tears(0, a.shape[0]))
+
+
+def test_batched_secular_roots_match_single_problems():
+    # A batch pads each problem's poles out to the widest with +inf poles of
+    # z == 0, which only reorders the sums. So the widest problem (nothing
+    # padded) and the one-pole problem (one nonzero term) keep every bit,
+    # and the others move by rounding: a root stops anywhere |f| is below
+    # its error bound. Over 300 random draws of these four problems that
+    # moved delta by at most 21 eps relative and the pass count by at most
+    # one (in 2 of 1200 problems).
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(0)
+    problems = []
+    for k, rho in ((1, 0.5), (7, 2.0), (20, 0.03), (33, 7.5)):
+        z = rng.standard_normal(k)
+        problems.append((np.sort(rng.uniform(-1.0, 1.0, k)), z / np.linalg.norm(z), rho))
+    batch = linalg._secular_roots(problems, 10_000)
+    for (d, z, rho), (lam, delta, passes) in zip(problems, batch):
+        (lam1, delta1, passes1), = linalg._secular_roots([(d, z, rho)], 10_000)
+        assert lam.shape == (d.size,) and delta.shape == (d.size, d.size)
+        if d.size in (1, 33):
+            assert np.array_equal(lam, lam1) and np.array_equal(delta, delta1)
+            assert passes == passes1
+        assert np.all(np.abs(delta - delta1) <= 32 * eps * np.abs(delta1)), d.size
+        assert np.abs(lam - lam1).max() <= 32 * eps * np.abs(lam1).max(), d.size
+        assert abs(passes - passes1) <= 1, d.size
+
+
+def test_secular_passes_sum_over_a_batch_against_the_budget():
+    # Each problem counts the passes up to its last root; the batch raises
+    # once their sum passes the budget.
+    rng = np.random.default_rng(1)
+    problems = [(np.sort(rng.uniform(-1.0, 1.0, k)), rng.standard_normal(k), 1.0)
+                for k in (5, 9)]
+    used = sum(passes for _, _, passes in linalg._secular_roots(problems, 10_000))
+    linalg._secular_roots(problems, used)
+    with pytest.raises(NoConvergence, match="secular"):
+        linalg._secular_roots(problems, used - 1)
+
+
 def test_schur_ql_restart_on_an_exactly_zero_rotation_radius():
     # The QL chase meets a rotation radius that is exactly zero, so
     # _tridiag_eigen deflates there and restarts. Four of the eigenvalues
@@ -766,7 +838,7 @@ def test_schur_ql_restart_on_an_exactly_zero_rotation_radius():
 
 
 def test_schur_divide_and_conquer_at_width_500():
-    # 500 rows tear into 16 blocks of 31 or 32: four levels of merges on a
+    # 500 rows tear into 32 blocks of 15 or 16: five levels of merges on a
     # sigmoid Gram matrix whose eigenvalues spread over many decades.
     h = _sigmoid_hidden(1000, 500, 83)
     a = h.T @ h
