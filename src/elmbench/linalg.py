@@ -119,9 +119,9 @@ class SvdFactors:
     top. solve applies q.T block by block, as LAPACK's dgesdd applies its
     reflectors (dormbr), and never forms u.
 
-    iterations counts the work as _tridiag_dc counts it, against
-    _tridiag_dc's budget for the 2k x 2k Golub-Kahan tridiagonal, k the
-    nonzero pivots.
+    iterations counts _bidiag_dc's work, the leaves' QL iterations plus the
+    merges' secular passes, against its budget EIGEN_ITER_FACTOR * 2k, k
+    the nonzero pivots: the budget of the 2k x 2k Golub-Kahan tridiagonal.
     """
 
     u_blocks: list
@@ -760,20 +760,22 @@ class _SchurFactors(SimilarityFactors):
         return _finite(self.q @ ((self.q.T @ b) / _by_row(eigs, b)))
 
 
-def _tears(lo: int, hi: int) -> list:
-    """The (lo, mid, hi) splits that halve rows lo:hi into blocks of <= _LEAF rows.
+def _tears(lo: int, hi: int, leaf: int = _LEAF, skip: int = 0) -> list:
+    """The (lo, mid, hi) splits that halve rows lo:hi into blocks of <= leaf rows.
 
-    One list per depth of the tree, the top tear first. The splits of one
-    depth hold disjoint rows, and each lies inside one split of the depth
-    above, so a depth can be merged once the one below it is.
+    A split's halves are rows lo:mid and mid + skip:hi; skip == 1 leaves out
+    row mid, the bidiagonal merge row of _bidiag_dc. One list per depth of
+    the tree, the top split first. The splits of one depth hold disjoint
+    rows, and each lies inside one split of the depth above, so a depth can
+    be merged once the one below it is.
     """
     levels, spans = [], [(lo, hi)]
     while True:
-        level = [(a, (a + b) // 2, b) for a, b in spans if b - a > _LEAF]
+        level = [(a, (a + b) // 2, b) for a, b in spans if b - a > leaf]
         if not level:
             return levels
         levels.append(level)
-        spans = [half for a, mid, b in level for half in ((a, mid), (mid, b))]
+        spans = [half for a, mid, b in level for half in ((a, mid), (mid + skip, b))]
 
 
 def _two_pole_step(c, s, big_s, dp, dq, t, lo, hi):
@@ -791,7 +793,12 @@ def _two_pole_step(c, s, big_s, dp, dq, t, lo, hi):
                     np.where((large > lo) & (large < hi), large, 0.5 * (lo + hi)))
 
 
-def _secular_roots(problems: list, budget: int) -> list:
+def _squares_apart(a, b):
+    """a^2 - b^2 as (a - b)(a + b), to full relative accuracy however close a and b are."""
+    return (a - b) * (a + b)
+
+
+def _secular_roots(problems: list, budget: int, *, squared: bool = False) -> list:
     """Roots of 1 / rho + sum_j z_j^2 / (d_j - lam) == 0 for each (d, z, rho) of problems.
 
     Each d is ascending and distinct. Returns one (lam, delta, passes) per
@@ -811,6 +818,13 @@ def _secular_roots(problems: list, budget: int) -> list:
     sign at every pass, bisects it. A root stops when |f| <= eps times
     dlaed4's bound on the rounding error of the sum.
 
+    With squared, each problem's d holds the nonnegative D of the
+    bidiagonal merge's 1 + sum_j z_j^2 / (D_j^2 - sigma^2) == 0 (rho == 1,
+    lam == sigma^2), and every difference of two poles, d_j - d_origin
+    among them, is formed as (D_j - D_origin)(D_j + D_origin), as dlasd4
+    forms its differences of squares. So delta keeps full relative accuracy
+    where D_j^2 - D_origin^2 would cancel the rounding of both squares.
+
     All problems are solved in one set of passes, one root per row, so a
     batch costs the numpy calls of one problem. A row's poles are its own
     problem's, padded out to the widest problem with poles at +inf of
@@ -818,6 +832,7 @@ def _secular_roots(problems: list, budget: int) -> list:
     the origin are per row. The padding changes only the order of the sums.
     Raises NoConvergence once the problems' passes so far sum past budget.
     """
+    apart = _squares_apart if squared else np.subtract
     sizes = [d.size for d, _, _ in problems]
     width, rows = max(sizes), sum(sizes)
     pad_d = np.full((len(problems), width), np.inf)
@@ -840,14 +855,15 @@ def _secular_roots(problems: list, budget: int) -> list:
     # root, at most d_k-1 + rho z.z, lies strictly inside it.
     own = poles[row, idx]
     gap = np.where(last, 2.0 * rho * pad_z2.sum(axis=1)[owner],
-                   poles[row, np.minimum(idx + 1, width - 1)] - own)
+                   apart(poles[row, np.minimum(idx + 1, width - 1)], own))
     mid = 0.5 * gap
-    span = poles - own[:, None]  # span[i, j] == d_j - d_i
+    span = apart(poles, own[:, None])  # span[i, j] == d_j - d_i
     at_mid = span - mid[:, None]
     f_mid = 1.0 / rho + (z2 / at_mid).sum(axis=1)
     right = (f_mid < 0.0) & ~last
     origin = idx + right
-    base = poles - poles[row, origin][:, None]  # d_j - d_origin
+    at_origin = poles[row, origin]
+    base = apart(poles, at_origin[:, None])  # d_j - d_origin
     lo = np.where(f_mid < 0.0, np.where(right, mid - gap, mid), 0.0)
     hi = np.where(f_mid < 0.0, np.where(right, 0.0, gap), mid)
     # The first step: the model's poles exact and the other terms frozen at
@@ -886,9 +902,39 @@ def _secular_roots(problems: list, budget: int) -> list:
         step = _two_pole_step(f - dp * psi - dq * phi, dp * dp * psi, dq * dq * phi,
                               dp, dq, tau, lo, hi)
         tau = np.where(live, step, tau)
-    lam = poles[row, origin] + tau
+    lam = (at_origin * at_origin if squared else at_origin) + tau
     return [(lam[s:s + size], delta[s:s + size, :size].T, int(n))
             for s, size, n in zip(starts.tolist(), sizes, passes)]
+
+
+def _rotate_close_poles(d: list, z: list, poles: list, tol: float, mats: tuple) -> list:
+    """Deflate by rotation each pole of poles, ascending in d, that is close to the next; keep.
+
+    A pole that Givens rotation of its z entry into the next one's changes
+    by less than tol keeps its rotated pair: the rotation zeroes its z
+    entry, turns the two columns of every matrix in mats, and moves both
+    poles to the rotated diagonal's. Pairs are tested in order, since a
+    rotation changes the next pair's d. d and z, Python floats, which are
+    faster here than numpy's, and mats are updated in place. Returns keep,
+    the poles left.
+    """
+    keep = []
+    prev = poles[0]
+    for j in poles[1:]:
+        if abs((d[j] - d[prev]) * z[j] * z[prev]) <= tol * (z[prev] ** 2 + z[j] ** 2):
+            tau = math.hypot(z[prev], z[j])
+            c, s = z[j] / tau, -z[prev] / tau
+            turn = np.array([[c, -s], [s, c]])
+            for mat in mats:
+                mat[:, [prev, j]] = mat[:, [prev, j]] @ turn
+            z[prev], z[j] = 0.0, tau
+            d[prev], d[j] = (d[prev] * c * c + d[j] * s * s,
+                             d[prev] * s * s + d[j] * c * c)
+        else:
+            keep.append(prev)
+        prev = j
+    keep.append(prev)
+    return keep
 
 
 def _merge_deflate(d: np.ndarray, vecs: np.ndarray, split: int,
@@ -903,11 +949,11 @@ def _merge_deflate(d: np.ndarray, vecs: np.ndarray, split: int,
     1995): z, the vector v seen from the halves' eigenvectors, comes from
     the two boundary rows of vecs, and the pairs are sorted by d. A pole
     whose rho |z_j| is below tol == 8 eps max(|d|, |z|) keeps its pair; a
-    pole that Givens rotation of its z entry into the next one's changes by
-    less than tol keeps its rotated pair. Returns the sorted, rotated d and
-    vecs; keep, the indices of the poles left; and their secular problem
-    (d[keep], z[keep], rho) for _secular_roots. keep is empty when every
-    pole deflates, and then d and vecs are the merged eigenpairs.
+    pole close to the next is deflated by _rotate_close_poles. Returns the
+    sorted, rotated d and vecs; keep, the indices of the poles left; and
+    their secular problem (d[keep], z[keep], rho) for _secular_roots. keep
+    is empty when every pole deflates, and then d and vecs are the merged
+    eigenpairs.
     """
     z = (vecs[split - 1] + math.copysign(1.0, beta) * vecs[split]) / math.sqrt(2.0)
     rho = 2.0 * abs(beta)
@@ -917,25 +963,30 @@ def _merge_deflate(d: np.ndarray, vecs: np.ndarray, split: int,
     poles = np.flatnonzero(rho * np.abs(z) > tol)
     if not poles.size:
         return d, vecs, poles, (d[poles], z[poles], rho)
-    # Pairs are tested in order, since a rotation changes the next pair's d.
-    # The scan runs on Python floats, which are faster here than numpy's.
     d, z = d.tolist(), z.tolist()
-    keep = []
-    prev = int(poles[0])
-    for j in poles[1:].tolist():
-        if abs((d[j] - d[prev]) * z[j] * z[prev]) <= tol * (z[prev] ** 2 + z[j] ** 2):
-            tau = math.hypot(z[prev], z[j])
-            c, s = z[j] / tau, -z[prev] / tau
-            vecs[:, [prev, j]] = vecs[:, [prev, j]] @ np.array([[c, -s], [s, c]])
-            z[prev], z[j] = 0.0, tau
-            d[prev], d[j] = (d[prev] * c * c + d[j] * s * s,
-                             d[prev] * s * s + d[j] * c * c)
-        else:
-            keep.append(prev)
-        prev = j
-    keep.append(prev)
+    keep = _rotate_close_poles(d, z, poles.tolist(), tol, (vecs,))
     d, z, keep = np.array(d), np.array(z), np.array(keep)
     return d, vecs, keep, (d[keep], z[keep], rho)
+
+
+def _loewner(z: np.ndarray, delta: np.ndarray, span: np.ndarray) -> np.ndarray:
+    """The z whose secular equation has the computed roots exactly, signed as z.
+
+    The Loewner formula (Gu & Eisenstat): zhat_j^2 == prod_i (lam_i - d_j) /
+    prod_(i != j) (d_i - d_j), up to the factor rho that normalized vectors
+    drop, taken as a product of ratios near 1 so that it neither overflows
+    nor underflows. delta[j, i] == d_j - lam_i and span[j, i] == d_j - d_i,
+    whose diagonal is overwritten by 1. Vectors built on zhat are orthogonal
+    to working accuracy however close the roots are.
+    """
+    np.fill_diagonal(span, 1.0)
+    return np.copysign(np.sqrt(-np.prod(delta / span, axis=1)), z)
+
+
+def _unit_columns(x: np.ndarray) -> np.ndarray:
+    """x with each column divided in place by its norm."""
+    x /= np.sqrt(np.einsum("ij,ij->j", x, x))
+    return x
 
 
 def _merge_vectors(d: np.ndarray, vecs: np.ndarray, keep: np.ndarray, problem: tuple,
@@ -943,29 +994,21 @@ def _merge_vectors(d: np.ndarray, vecs: np.ndarray, keep: np.ndarray, problem: t
     """The second half of a merge: the poles keep of d and vecs become the roots' eigenpairs.
 
     d, vecs, keep and problem are _merge_deflate's, lam and delta
-    _secular_roots' for problem; d and vecs are updated in place. z is
-    recomputed from the computed roots by the Loewner formula, so the new
-    eigenvectors are orthogonal to working accuracy however close the roots
-    are. They reach vecs by one product.
+    _secular_roots' for problem; d and vecs are updated in place. The
+    eigenvectors zhat_j / (d_j - lam_i) are built on _loewner's zhat and
+    reach vecs by one product.
     """
     poles, z, _ = problem
-    # The Loewner formula: zhat_j^2 == prod_i (lam_i - d_j) / prod_(i != j) (d_i - d_j),
-    # up to the factor rho that the normalization drops, taken as a product
-    # of ratios near 1 so that it neither overflows nor underflows.
-    span = poles[:, None] - poles[None, :]
-    np.fill_diagonal(span, 1.0)
-    zhat = np.copysign(np.sqrt(-np.prod(delta / span, axis=1)), z)
-    u = zhat[:, None] / delta
-    u /= np.sqrt(np.einsum("ij,ij->j", u, u))
+    zhat = _loewner(z, delta, poles[:, None] - poles[None, :])
     d[keep] = lam
-    vecs[:, keep] = vecs[:, keep] @ u
+    vecs[:, keep] = vecs[:, keep] @ _unit_columns(zhat[:, None] / delta)
 
 
 def _tridiag_dc(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """Eigenpairs of the symmetric tridiagonal with diagonal d and off-diagonal e.
 
-    The one entry to the tridiagonal eigenproblem, for Schur and the SVD
-    (as LAPACK's dstedc). (d, e) is divided by _unit_scale first, so the
+    Schur's divide and conquer, as LAPACK's dstedc; the SVD has its own,
+    _bidiag_dc. (d, e) is divided by _unit_scale first, so the
     secular equations neither overflow nor underflow. Returns the
     eigenvalues, scaled back, in descending order; the matching
     eigenvector columns; and the work, the QL iterations plus the secular
@@ -1078,18 +1121,191 @@ def _thomas(t: np.ndarray, b: np.ndarray) -> np.ndarray:
 # SVD by Golub-Kahan bidiagonalization
 # ---------------------------------------------------------------------------
 
-def _orthonormal_half(half: np.ndarray) -> np.ndarray:
-    """half, k x k rows of the Golub-Kahan eigenvectors, made orthonormal by svd's rule."""
-    y = math.sqrt(2.0) * half
+def _orthonormal_half(y: np.ndarray) -> np.ndarray:
+    """y, whose columns are near orthonormal, made orthonormal.
+
+    If every entry of g == y.T y - I is within sqrt(eps), one Newton-Schulz
+    step toward the nearest orthonormal matrix (Bjorck & Bowie, SIAM J.
+    Numer. Anal. 8(2), 1971), y - y g / 2, leaves about 3/4 ||g||^2 plus
+    rounding. Otherwise y is replaced by the q of its Householder QR, which
+    is orthonormal even when y is degenerate and keeps the span of each
+    leading set of columns.
+    """
     g = y.T @ y
     g[np.diag_indices_from(g)] -= 1.0
     if np.abs(g).max() <= math.sqrt(_EPS):
         return y - 0.5 * (y @ g)
-    return _householder_factors(half).q
+    return _householder_factors(y).q
+
+
+def _bidiag_deflate(sig: np.ndarray, u: np.ndarray, v: np.ndarray, split: int,
+                    alpha: float, beta: float) -> tuple:
+    """The first half of a bidiagonal merge: the deflation, and the secular problem it leaves.
+
+    The merge follows LAPACK's dlasd1/dlasd2. sig, u and v are a node's
+    blocks of _bidiag_dc's arrays: n rows, n + sq columns, row split the
+    merge row, which holds alpha at column split and beta at split + 1. u
+    and v hold the children's singular vectors, so u.T b v == [M, w]:
+    M == diag(D) + e_split z.T with D the children's singular values,
+    sig[split] read as D_split == 0 for the left child's null vector, and
+    z == alpha v[split] + beta v[split + 1], the last row of the left
+    child's v and the first row of the right's. With sq == 1, w is z's
+    last entry times e_split, the right child's null vector; a rotation of
+    the two null columns moves it into z_split, and the rotated column,
+    last in v, is the node's null vector.
+
+    The merge is divided by the power of two at or below max(|D|, |z|)
+    (dlasd1's ORGNRM), so that the secular equation's squares neither
+    underflow nor overflow, and the poles are sorted by D, the zero pole
+    first. With tol == 8 eps of the scaled max: the zero pole never
+    deflates, and its z is floored at tol; a pole with |z_j| <= tol keeps
+    its columns, with sigma == D_j; a pole close to the next is deflated by
+    _rotate_close_poles, which turns u's and v's columns alike. The first
+    pole left after the zero pole is moved up to tol / 2 if it is within
+    that of zero (dlasd2), so the poles stay distinct. Returns the scale;
+    the sorted, rotated D, u and v, copies; keep, the poles left, the zero
+    pole first; and their squared-mode secular problem (D[keep], z[keep], 1).
+    """
+    n = sig.size
+    z = alpha * v[split] + beta * v[split + 1]
+    d = sig.copy()
+    d[split] = 0.0
+    peak = max(np.abs(d).max(), np.abs(z).max())
+    scale = _power_of_two_below(peak)
+    d /= scale
+    z /= scale
+    tol = 8.0 * _EPS * max(peak / scale, 1.0)
+    v = v.copy()
+    if v.shape[1] > n:
+        null = math.hypot(z[split], z[n])
+        if null > tol:
+            c, s = z[split] / null, z[n] / null
+            v[:, [split, n]] = v[:, [split, n]] @ np.array([[c, -s], [s, c]])
+            z[split] = null
+    key = d.copy()
+    key[split] = -1.0
+    order = np.argsort(key, kind="stable")
+    d, z, u = d[order], z[order], u[:, order]
+    v[:, :n] = v[:, order]
+    z[0] = z[0] if abs(z[0]) > tol else tol
+    poles = (1 + np.flatnonzero(np.abs(z[1:]) > tol)).tolist()
+    d, z = d.tolist(), z.tolist()
+    keep = [0] + (_rotate_close_poles(d, z, poles, tol, (u, v)) if poles else [])
+    if len(keep) > 1 and abs(d[keep[1]]) <= 0.5 * tol:
+        d[keep[1]] = 0.5 * tol
+    d, z, keep = np.array(d), np.array(z), np.array(keep)
+    return scale, d, u, v, keep, (d[keep], z[keep], 1.0)
+
+
+def _bidiag_vectors(scale: float, d: np.ndarray, u: np.ndarray, v: np.ndarray,
+                    keep: np.ndarray, problem: tuple, lam: np.ndarray,
+                    delta: np.ndarray) -> None:
+    """The second half of a bidiagonal merge: the poles keep become the roots' triplets.
+
+    scale, d, u, v, keep and problem are _bidiag_deflate's, lam and delta
+    _secular_roots' for problem in squared mode; d, u and v are updated in
+    place, and d is scaled back. As in dlasd3, on _loewner's zhat for the
+    squared poles, M's right singular vector of sigma_i is zhat_j /
+    (D_j^2 - sigma_i^2), and its left one D_j zhat_j / (D_j^2 - sigma_i^2),
+    with -1 at the zero pole. Each reaches its factor by one product.
+    """
+    poles, z, _ = problem
+    zhat = _loewner(z, delta, _squares_apart(poles[:, None], poles[None, :]))
+    right = zhat[:, None] / delta
+    left = (poles * zhat)[:, None] / delta
+    left[0] = -1.0
+    d[keep] = np.sqrt(lam)
+    d *= scale
+    u[:, keep] = u[:, keep] @ _unit_columns(left)
+    v[:, keep] = v[:, keep] @ _unit_columns(right)
+
+
+def _bidiag_dc(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """SVD b == u_b diag(sigma) v_b.T of the upper bidiagonal b, diagonal d, superdiagonal e.
+
+    The SVD's divide and conquer, as LAPACK's dbdsdc (Gu & Eisenstat,
+    "A divide-and-conquer algorithm for the bidiagonal SVD", SIMAX 16(1),
+    1995). (d, e) is divided by _unit_scale first. Returns sigma, scaled
+    back, in descending order; the matching columns of u_b and v_b; and the
+    work, the QL iterations plus the secular passes, against one budget of
+    EIGEN_ITER_FACTOR * 2k, k == d.size, past which NoConvergence is raised.
+
+    A node of the tree (dlasd0) is rows lo:hi and columns lo:hi + sq of b,
+    with sq == 1 when hi < k. _tears(0, k, _LEAF // 2, 1) splits it at
+    row r == (lo + hi) // 2 into a left child, rows lo:r and columns
+    lo:r + 1, so with sq == 1; the merge row r, d[r] at column r and e[r]
+    at r + 1; and a right child, rows r + 1:hi, with the node's sq.
+    Children hold disjoint rows and columns, so u and v stay k x k
+    block-diagonal arrays: each node's block holds its singular vectors,
+    and an sq node's v its null vector last.
+
+    The leaves, of at most _LEAF // 2 rows, are solved together by one
+    _tridiag_eigen call on the Golub-Kahan tridiagonal (Golub & Kahan,
+    SIAM J. Numer. Anal. 2(2), 1965): zero diagonal, off-diagonal (d0, e0,
+    d1, e1, ...), torn at each merge row, so a leaf's own tridiagonal has
+    at most _LEAF + 1 rows. Its eigenvector of +sigma holds v in its even
+    rows and u in its odd rows, each of norm 1 / sqrt(2); an sq leaf's
+    null vector is the even part of its zero eigenvector. For close +-
+    pairs the halves lose orthogonality separately (Willems, Lang & Vomel,
+    SIMAX 28(3), 2006), so the halves, scaled by sqrt(2) (a null vector as
+    it is), go through _orthonormal_half, one call for all of u and one for
+    all of v: a reflector of a block-diagonal matrix stays inside its block.
+
+    The nodes are then merged bottom-up, one depth of the tree at a time:
+    each by _bidiag_deflate, the depth's secular problems by one
+    squared-mode _secular_roots call, each merge finished by
+    _bidiag_vectors. A merge solves for its n singular values over n poles,
+    where the Golub-Kahan tridiagonal's would solve for 2n eigenvalues.
+    """
+    k = d.size
+    de = np.concatenate((d, e))
+    scale = _unit_scale(de)
+    d, e = de[:k], de[k:]
+    max_iter = EIGEN_ITER_FACTOR * 2 * k
+    levels = [[(lo, r, hi, int(hi < k)) for lo, r, hi in level]
+              for level in _tears(0, k, _LEAF // 2, 1)]
+    rows = sorted(r for level in levels for _, r, _, _ in level)
+    # Leaf rows lo:hi, columns lo:hi + sq, are rows 2 lo:2 hi + sq of the
+    # Golub-Kahan tridiagonal.
+    leaves = [(lo, hi, int(hi < k))
+              for lo, hi in zip([0] + [r + 1 for r in rows], rows + [k])]
+    gk = np.empty(2 * k - 1)
+    gk[0::2], gk[1::2] = d, e
+    for r in rows:
+        gk[2 * r:2 * r + 2] = 0.0
+    zt = np.zeros((2 * k, max(2 * (hi - lo) + sq for lo, hi, sq in leaves)))
+    for lo, hi, sq in leaves:
+        size = 2 * (hi - lo) + sq
+        zt[2 * lo:2 * lo + size, :size] = np.eye(size)
+    lam, total = _tridiag_eigen(np.zeros(2 * k), gk, zt, max_iter)
+    sigma = np.zeros(k)
+    # A merge row's column of u is its own row until its merge.
+    u, v = np.eye(k), np.zeros((k, k))
+    for lo, hi, sq in leaves:
+        n, size = hi - lo, 2 * (hi - lo) + sq
+        # The n + sq largest eigenvalues: the leaf's sigmas, then its null vector's zero.
+        top = 2 * lo + np.argsort(lam[2 * lo:2 * lo + size])[::-1][:n + sq]
+        y = zt[top, :size]
+        y[:n] *= math.sqrt(2.0)
+        sigma[lo:hi] = lam[top[:n]]
+        u[lo:hi, lo:hi] = y[:n, 1::2].T
+        v[lo:hi + sq, lo:hi + sq] = y[:, 0::2].T
+    u, v = _orthonormal_half(u), _orthonormal_half(v)
+    for level in reversed(levels):
+        merges = [_bidiag_deflate(sigma[lo:hi], u[lo:hi, lo:hi], v[lo:hi + sq, lo:hi + sq],
+                                  r - lo, d[r], e[r]) for lo, r, hi, sq in level]
+        roots = _secular_roots([merge[-1] for merge in merges], max_iter - total,
+                               squared=True)
+        for (lo, _, hi, sq), merge, (lam, delta, passes) in zip(level, merges, roots):
+            _bidiag_vectors(*merge, lam, delta)
+            total += passes
+            _, sigma[lo:hi], u[lo:hi, lo:hi], v[lo:hi + sq, lo:hi + sq], _, _ = merge
+    order = np.argsort(sigma)[::-1]
+    return sigma[order] * scale, u[:, order], v[:, order], total
 
 
 def svd(a) -> SvdFactors:
-    """Thin SVD by Golub-Kahan bidiagonalization and tridiagonal divide and conquer.
+    """Thin SVD by Golub-Kahan bidiagonalization and bidiagonal divide and conquer.
 
     A wide matrix is factored through its transpose. A tall n x m matrix is
     first reduced by the blocked reduction a == q r to its m x m triangular
@@ -1108,21 +1324,8 @@ def svd(a) -> SvdFactors:
       from the left and on columns j + 1: from the right, t == pl [b; 0]
       pr.T with b upper bidiagonal, diagonal d and superdiagonal f (Golub &
       Kahan, SIAM J. Numer. Anal. 2(2), 1965);
-    - the 2k x 2k tridiagonal with zero diagonal and off-diagonal
-      (d0, f0, d1, f1, ...) has eigenvalues +-sigma, and _tridiag_dc finds
-      them as it does Schur's, under its scale, budget and order rules.
-      The eigenvector of +sigma holds v_b in its even rows and u_b in its
-      odd rows, with b v_b == sigma u_b;
-    - for close +- pairs the two halves lose orthogonality separately
-      (Willems, Lang & Vomel, SIMAX 28(3), 2006). A half of the k largest
-      eigenpairs' vectors, columns in descending sigma, has columns of norm
-      1 / sqrt(2), so y == sqrt(2) half is near orthonormal. If every entry
-      of g == y.T y - I is within sqrt(eps), one Newton-Schulz step toward
-      the nearest orthonormal matrix (Bjorck & Bowie, SIAM J. Numer. Anal.
-      8(2), 1971), y - y g / 2, leaves about 3/4 ||g||^2 plus rounding.
-      Otherwise, as for the halves of a sigma == 0 pair, which can be
-      anything, the half is replaced by the q of its Householder QR, which
-      is orthonormal even when the half is degenerate.
+    - _bidiag_dc gives b == u_b diag(sigma) v_b.T under its scale, budget
+      and order rules.
 
     Since a[:, perm] == q qp rp and rp[:k] == pr v_b diag(sigma) u_b.T
     pl[:, :k].T, u is q qp diag(pr v_b, I) and v[perm] is pl diag(u_b, I).
@@ -1156,17 +1359,14 @@ def svd(a) -> SvdFactors:
             rest = t[j:, j + 1:]
             rest -= np.outer(2.0 * (rest @ w), w)
             right.append(w)
-    e = np.empty(2 * k - 1)
-    e[0::2], e[1::2] = np.diag(t), np.diag(t, 1)
-    lam, vecs, iterations = _tridiag_dc(np.zeros(2 * k), e)
+    sigma_b, u_b, v_b, iterations = _bidiag_dc(np.diag(t), np.diag(t, 1))
     u_r, v_r = np.eye(m), np.eye(m)
-    u_r[:k, :k] = _apply_reflectors(_wy_blocks(right, k), k,
-                                    _orthonormal_half(vecs[0::2, :k]))
-    v_r[:k, :k] = _orthonormal_half(vecs[1::2, :k])
+    u_r[:k, :k] = _apply_reflectors(_wy_blocks(right, k), k, v_b)
+    v_r[:k, :k] = u_b
     v = np.empty((m, m))
     v[perm] = _apply_reflectors(_wy_blocks(left, m), m, v_r)
     sigma = np.zeros(m)
-    sigma[:k] = lam[:k] * scale
+    sigma[:k] = sigma_b * scale
     u_side, v_side = (blocks, _q_times(pivot_blocks, u_r)), ([], v)
     if wide:
         u_side, v_side = v_side, u_side

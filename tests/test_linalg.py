@@ -754,22 +754,22 @@ def _count_secular_calls(monkeypatch):
     calls = []
     solve = linalg._secular_roots
 
-    def counted(problems, budget):
+    def counted(problems, budget, **mode):
         calls.append([d.size for d, _, _ in problems])
-        return solve(problems, budget)
+        return solve(problems, budget, **mode)
 
     monkeypatch.setattr(linalg, "_secular_roots", counted)
     return calls
 
 
 def test_divide_and_conquer_solves_one_secular_equation_per_level(monkeypatch):
-    # A full-rank 200x100 h has a 200-row Golub-Kahan tridiagonal, torn in
-    # four levels (into 16 leaves of 12 or 13 rows): one secular solve each,
-    # not one per merge (1 + 2 + 4 + 8 == 15).
-    h = _sigmoid_hidden(200, 100, 5)
+    # A width-200 normal matrix has a 200-row tridiagonal, torn in four
+    # levels (into 16 leaves of 12 or 13 rows): one secular solve each, not
+    # one per merge (1 + 2 + 4 + 8 == 15).
+    h = _sigmoid_hidden(400, 200, 5)
+    a = h.T @ h + 0.1 * np.eye(200)
     calls = _count_secular_calls(monkeypatch)
-    f = svd(h)
-    assert f.sigma.min() > 0.0
+    _assert_schur(a, schur_decompose(a))
     assert [len(level) for level in linalg._tears(0, 200)] == [1, 2, 4, 8]
     assert [len(sizes) for sizes in calls] == [8, 4, 2, 1]
 
@@ -821,6 +821,29 @@ def test_secular_passes_sum_over_a_batch_against_the_budget():
         linalg._secular_roots(problems, used - 1)
 
 
+def test_squared_secular_roots_keep_delta_to_full_relative_accuracy():
+    # Squared mode solves 1 + sum_j z_j^2 / (D_j^2 - lam) == 0. Over a zero
+    # pole and poles 1e-9 apart, D_j^2 - D_o^2 formed from the rounded
+    # squares would be off by about 1e-7 relative. Root i is held as tau
+    # from its origin o, the pole with the smallest |delta[o, i]| == |tau|,
+    # so it is exactly D_o^2 - delta[o, i]; every delta[j, i] must be
+    # D_j^2 minus that root, in Fractions, to 4 eps relative.
+    eps = np.finfo(float).eps
+    poles = np.array([0.0, 0.25, 1.0, 1.0 + 1e-9, 1.0 + 2e-9, 1.5, 2.0])
+    z = np.random.default_rng(17).uniform(0.2, 0.6, poles.size)
+    (lam, delta, _), = linalg._secular_roots([(poles, z, 1.0)], 10_000, squared=True)
+    squares = [Fraction(p) ** 2 for p in poles.tolist()]
+    for i in range(poles.size):
+        assert squares[i] < Fraction(lam[i])
+        assert i == poles.size - 1 or Fraction(lam[i]) < squares[i + 1]
+        o = int(np.argmin(np.abs(delta[:, i])))
+        root = squares[o] - Fraction(delta[o, i])
+        assert abs(Fraction(lam[i]) - root) <= eps * root
+        for j in range(poles.size):
+            exact = squares[j] - root
+            assert abs(Fraction(delta[j, i]) - exact) <= 4 * eps * abs(exact), (i, j)
+
+
 def test_schur_ql_restart_on_an_exactly_zero_rotation_radius():
     # The QL chase meets a rotation radius that is exactly zero, so
     # _tridiag_eigen deflates there and restarts. Four of the eigenvalues
@@ -849,8 +872,8 @@ def test_solver_work_counts():
     a = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]])
     assert 0 < schur_decompose(a).iterations <= linalg.EIGEN_ITER_FACTOR * 3
     assert hessenberg_reduce(a).iterations == 0
-    # Even a diagonal matrix's Golub-Kahan tridiagonal has a zero diagonal,
-    # so each of its 2 x 2 blocks takes a QL iteration.
+    # Even a diagonal matrix's leaf has a Golub-Kahan tridiagonal with a
+    # zero diagonal, so each of its 2 x 2 blocks takes a QL iteration.
     assert 0 < svd(np.diag([3.0, 2.0, 1.0])).iterations <= linalg.EIGEN_ITER_FACTOR * 6
 
 
@@ -999,8 +1022,8 @@ def test_svd_solve_of_a_wide_matrix_gives_the_minimum_norm_solution(monkeypatch)
 
 
 def test_svd_iterations_on_hidden_and_ridge_matrices():
-    # Both matrices have full rank 50, so the Golub-Kahan tridiagonal is
-    # 100 x 100 and its budget EIGEN_ITER_FACTOR * 100.
+    # Both matrices have full rank 50, so the budget is that of the 100 x 100
+    # Golub-Kahan tridiagonal, EIGEN_ITER_FACTOR * 100.
     x = np.random.default_rng(3).uniform(0.0, 1.0, (200, 16))
     cfg = ElmConfig(hidden_neurons=50, rng_seed=3)
     weights, biases = init_random_layer(cfg, 16)
@@ -1046,7 +1069,7 @@ print(json.dumps(out))
 def test_svd_iterations_on_the_erp_cv_folds():
     # The benchmark's erp-cv shape: the 792 x 100 h of each of the 12 folds
     # (seed 7) and its ridge-leverage normal matrix, each of full rank, so
-    # each Golub-Kahan tridiagonal is 200 x 200.
+    # each budget is that of the 200 x 200 Golub-Kahan tridiagonal.
     results = _run_one_blas_thread(_ERP_CV_SVD)
     assert len(results) == 24
     for iterations, orthogonality in results:
@@ -1111,8 +1134,8 @@ def _sigmoid_hidden(rows, width, seed):
 
 @pytest.mark.parametrize("matrix", ["hidden", "ridge-gram"])
 def test_svd_invariants_at_400x200(matrix):
-    # Wider than the property sweep: a 400 x 400 Golub-Kahan tridiagonal,
-    # torn into 16 blocks and merged in four levels.
+    # Wider than the property sweep: a 200-row bidiagonal, split into 32
+    # leaves and merged in five levels.
     h = _sigmoid_hidden(400, 200, 21)
     a = h if matrix == "hidden" else h.T @ h + 1e-3 * np.eye(200)
     f = svd(a)
@@ -1188,10 +1211,10 @@ def test_square_svd_skips_the_tall_reduction(monkeypatch):
 
 
 def test_svd_halves_take_the_householder_qr_only_when_degenerate(monkeypatch):
-    # The halves of a full-rank input's eigenvectors are orthonormal to far
-    # below sqrt(eps), so one Newton-Schulz step finishes them. A zero
-    # input's sigma == 0 pair has halves of norm 1 and 0, which only the
-    # Householder QR makes orthonormal.
+    # The halves of a full-rank input's leaves' eigenvectors are orthonormal
+    # to far below sqrt(eps), so one Newton-Schulz step finishes them. A
+    # zero input's sigma == 0 pair has halves of norm 1 and 0, which only
+    # the Householder QR makes orthonormal.
     calls = []
     factors = linalg._householder_factors
 
@@ -1286,6 +1309,126 @@ def test_svd_pairs_whose_norms_underflow_never_rotate():
     assert fro(f.u.T @ f.u - np.eye(6)) <= 1e-13
     assert fro(f.v.T @ f.v - np.eye(6)) <= 1e-13
     assert fro(a - f.u @ np.diag(f.sigma) @ f.v.T) <= 1e-14 * fro(a)
+
+
+def test_svd_block_scaled_across_a_merge():
+    # A 1e-160 block of 20 columns, wider than one leaf of the bidiagonal
+    # divide and conquer: the merges inside it hold singular values near
+    # 1e-160, whose squares underflow unless each merge is divided by its
+    # own largest entry first.
+    rng = np.random.default_rng(83)
+    a = np.zeros((60, 40))
+    a[:20, :20] = rng.standard_normal((20, 20))
+    a[20:, 20:] = 1e-160 * rng.standard_normal((40, 20))
+    f = svd(a)
+    assert fro(f.u.T @ f.u - np.eye(40)) <= 1e-13
+    assert fro(f.v.T @ f.v - np.eye(40)) <= 1e-13
+    assert fro(a - f.u @ np.diag(f.sigma) @ f.v.T) <= 1e-14 * fro(a)
+
+
+def test_svd_merges_hold_k_poles(monkeypatch):
+    # A full-rank 200 x 100 h has a 100-row bidiagonal, split around its
+    # merge rows in four levels (into 16 leaves of 5 or 6 rows). A merge
+    # solves for its own rows' singular values over as many poles, so no
+    # secular problem holds more than 100; the top merge of the 200-row
+    # Golub-Kahan tridiagonal would hold more than 100 of its eigenvalues.
+    h = _sigmoid_hidden(200, 100, 5)
+    calls = _count_secular_calls(monkeypatch)
+    f = svd(h)
+    assert f.sigma.min() > 0.0
+    levels = linalg._tears(0, 100, linalg._LEAF // 2, 1)
+    assert [len(level) for level in levels] == [1, 2, 4, 8]
+    assert [len(sizes) for sizes in calls] == [8, 4, 2, 1]
+    assert max(max(sizes) for sizes in calls) <= 100
+
+
+def _random_bidiagonal(k, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(k), rng.standard_normal(k - 1)
+
+
+def _assert_bidiag_svd(d, e):
+    k = d.size
+    b = np.diag(d) + np.diag(e, 1)
+    sigma, u, v, work = linalg._bidiag_dc(d, e)
+    ref = np.linalg.svd(b, compute_uv=False)
+    assert np.all(np.diff(sigma) <= 0.0)
+    assert np.abs(sigma - ref).max() <= 1e-14 * ref[0]
+    assert fro(u.T @ u - np.eye(k)) <= 1e-13
+    assert fro(v.T @ v - np.eye(k)) <= 1e-13
+    assert fro(b - u @ np.diag(sigma) @ v.T) <= 1e-14 * fro(b)
+    assert 0 < work <= linalg.EIGEN_ITER_FACTOR * 2 * k
+
+
+@pytest.mark.parametrize("k", [1, linalg._LEAF // 2, linalg._LEAF // 2 + 1, 37, 100])
+def test_bidiag_dc_against_numpy(k):
+    # One leaf, the widest leaf, one merge of two leaves, and three and four
+    # levels of merges.
+    _assert_bidiag_svd(*_random_bidiagonal(k, 100 + k))
+
+
+def _glued_bidiagonal():
+    # 17 rows: the root merge row 8 joins an 8 x 9 left leaf b1 and an
+    # 8 x 8 right leaf b2 with b2 b2.T == b1 b1.T, so both leaves hold the
+    # same singular values and every pole of the root merge is doubled.
+    # b2 is the upper bidiagonal factor of that tridiagonal: j l j for the
+    # Cholesky factor l of its reversal j b1 b1.T j.
+    d1, e1 = _random_bidiagonal(9, 7)
+    b1 = (np.diag(d1) + np.diag(e1, 1))[:8]
+    flip = np.linalg.cholesky((b1 @ b1.T)[::-1, ::-1])[::-1, ::-1]
+    return (np.concatenate((d1[:8], [0.9], np.diag(flip))),
+            np.concatenate((e1, [-1.1], np.diag(flip, 1))))
+
+
+def _bidiag_deflation_cases():
+    zero_merge, zero_row = _random_bidiagonal(17, 8), _random_bidiagonal(17, 9)
+    zero_merge[0][8] = 0.0
+    zero_row[0][2] = zero_row[1][2] = 0.0
+    return {
+        # d[8] == 0 at the root merge row: the zero pole's z is exactly 0.
+        "zero at the merge row": zero_merge,
+        # A zero row in the left leaf gives it a zero singular value whose
+        # z is not small: the first pole past the zero pole sits at 0.
+        "zero row in a leaf": zero_row,
+        # e == 0: every merge's z is zero but at its zero pole.
+        "identity": (np.ones(17), np.zeros(16)),
+        "glued leaves": _glued_bidiagonal(),
+    }
+
+
+@pytest.mark.parametrize("name", list(_bidiag_deflation_cases()))
+def test_bidiag_dc_deflation(name, monkeypatch):
+    # Each case takes one path of the merge's deflation: the zero pole's z
+    # floored at tol (8 to 16 eps after the merge's scaling), the first
+    # pole moved up to tol / 2, every pole but the zero pole deflated, or
+    # close poles rotated into each other, u's and v's columns alike.
+    eps = np.finfo(float).eps
+    problems, rotated = [], []
+    solve, rotate = linalg._secular_roots, linalg._rotate_close_poles
+
+    def recorded(batch, budget, **mode):
+        problems.extend(batch)
+        return solve(batch, budget, **mode)
+
+    def counted(d, z, poles, tol, mats):
+        keep = rotate(d, z, poles, tol, mats)
+        rotated.append((len(mats), len(poles) - len(keep)))
+        return keep
+
+    monkeypatch.setattr(linalg, "_secular_roots", recorded)
+    monkeypatch.setattr(linalg, "_rotate_close_poles", counted)
+    d, e = _bidiag_deflation_cases()[name]
+    _assert_bidiag_svd(d, e)
+    poles, z, _ = problems[-1]  # the root merge's
+    if name == "zero at the merge row":
+        assert 8 * eps <= z[0] <= 16 * eps
+    elif name == "zero row in a leaf":
+        assert any(p.size > 1 and 4 * eps <= p[1] <= 8 * eps for p, _, _ in problems)
+    elif name == "identity":
+        assert all(p.size == 1 for p, _, _ in problems)
+    else:
+        assert poles.size < 10
+        assert sum(n for mats, n in rotated if mats == 2) >= 7
 
 
 def test_svd_iteration_budget_raises(monkeypatch):
