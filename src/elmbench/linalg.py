@@ -28,9 +28,10 @@ from .errors import (
 PIVOT_RTOL = 1e-12
 SYMMETRY_RTOL = 1e-10
 EIGEN_ITER_FACTOR = 100
-# Reflectors per compact-WY block of the Householder kernel. Of 16, 24, 32
-# and 48, 32 gave the fastest reduction at 5000x500 and was within timing
-# noise of the fastest reduction plus q at 792x100 (1 BLAS thread).
+# Reflectors per compact-WY block of the Householder kernel, and columns per
+# panel of modified Gram-Schmidt. Of 16, 24, 32 and 48, 32 gave the fastest
+# Householder reduction at 5000x500 and was within timing noise of the
+# fastest reduction plus q at 792x100 (1 BLAS thread).
 _NB = 32
 # Most rows of a block that divide and conquer solves by QL, not by tearing.
 # With one secular solve per tree level, leaves of 8, 16 and 32 rows gave
@@ -336,26 +337,41 @@ def _tall_work(a) -> tuple[np.ndarray, float, np.ndarray]:
 
 
 def mgs_qr(a) -> QrFactors:
-    """Thin QR by the modified Gram-Schmidt process, right-looking.
+    """Thin QR by the modified Gram-Schmidt process, a panel of _NB columns at a time.
 
-    Each finished q column is projected out of every later column at once,
-    so each column still gets its projections in order, each inner product
-    taken with the partially reduced column. r has a non-negative diagonal.
+    Within a panel each finished q column is projected out of the panel's
+    later columns. The panel's q columns, the rows of v, then reach every
+    column past the panel at once: their projections in sequence,
+    (I - v_k v_k.T) ... (I - v_0 v_0.T), are I - v.T L^-1 v with
+    L = I + tril(v v.T, -1) (Bjorck & Paige, SIMAX 13(1), 1992), so the
+    panel's rows of r are L^-1 (v x.T) and x loses r.T v. In exact
+    arithmetic these are MGS's r and q, each inner product taken with the
+    partially reduced column; orthogonality is lost as MGS loses it, in
+    proportion to eps times the condition number (Swirydowicz et al.,
+    Numer. Linear Algebra Appl. 28(2), 2021). r has a non-negative diagonal.
     """
     a, scale, floor = _tall_work(a)
     n, m = a.shape
     # The matrix is worked on transposed, so each column is a contiguous row.
     qt = np.ascontiguousarray(a.T)
     r = np.zeros((m, m))
-    for j in range(m):
-        v = qt[j]
-        nrm = math.sqrt(v @ v)
-        if nrm * scale < floor[j]:
-            raise RankDeficient(f"column {j} collapsed during orthogonalization")
-        r[j, j] = nrm
-        v /= nrm
-        r[j, j + 1:] = qt[j + 1:] @ v
-        qt[j + 1:] -= np.outer(r[j, j + 1:], v)
+    for lo in range(0, m, _NB):
+        hi = min(lo + _NB, m)
+        for j in range(lo, hi):
+            v = qt[j]
+            nrm = math.sqrt(v @ v)
+            if nrm * scale < floor[j]:
+                raise RankDeficient(f"column {j} collapsed during orthogonalization")
+            r[j, j] = nrm
+            v /= nrm
+            r[j, j + 1:hi] = qt[j + 1:hi] @ v
+            qt[j + 1:hi] -= np.outer(r[j, j + 1:hi], v)
+        if hi < m:
+            v = qt[lo:hi]
+            l = v @ v.T  # read below the diagonal only
+            np.fill_diagonal(l, 1.0)
+            r[lo:hi, hi:] = _substitute(l, v @ qt[hi:].T, lower=True)
+            qt[hi:] -= r[lo:hi, hi:].T @ v
     return QrFactors(q=np.ascontiguousarray(qt.T), r=r * scale)
 
 

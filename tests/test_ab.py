@@ -39,3 +39,11 @@ def test_time_report_gives_the_median_ratio_and_the_wins(capsys):
     # Medians 2 and 1.5 ms; NEW was faster in the second and third rounds.
     assert (cells[0], cells[4]) == ("2.000", "1.500")
     assert cells[-2:] == ["0.750", "2/3"]
+
+
+def test_orthogonality_report_gives_each_layer_for_both_checkouts(capsys):
+    ab.report_orthogonality({"792x780": 1.25e-11, "5000x500": 2e-13},
+                            {"792x780": 1.5e-11, "5000x500": 1e-13})
+    rows = _rows(capsys.readouterr().out)
+    assert rows["792x780"] == ["1.25e-11", "1.50e-11"]
+    assert rows["5000x500"] == ["2.00e-13", "1.00e-13"]

@@ -227,6 +227,15 @@ def test_mgs_rank_deficient():
         mgs_qr(a)
 
 
+def test_mgs_rank_deficient_past_the_first_panel():
+    # Column 40 lies in a later panel than column 3, so it collapses under
+    # the first panel's block update, not under its own panel's loop.
+    a = np.random.default_rng(44).standard_normal((80, 50))
+    a[:, 40] = 2.0 * a[:, 3]
+    with pytest.raises(RankDeficient, match="column 40 "):
+        mgs_qr(a)
+
+
 def _left_looking_mgs(a):
     """Reference: orthogonalize each column against the finished q columns."""
     q = a.copy()
@@ -241,7 +250,9 @@ def _left_looking_mgs(a):
     return q, r
 
 
-@pytest.mark.parametrize("shape", [(40, 12), (12, 12), (1, 1), (30, 1)])
+# The last four cross one or more panel edges of _NB = 32 columns.
+@pytest.mark.parametrize("shape", [(40, 12), (12, 12), (1, 1), (30, 1),
+                                   (100, 33), (64, 64), (120, 70), (200, 97)])
 def test_mgs_matches_left_looking_loop(shape):
     a = np.random.default_rng(43).standard_normal(shape)
     f = mgs_qr(a)
@@ -251,6 +262,18 @@ def test_mgs_matches_left_looking_loop(shape):
     tol = 100 * shape[0] * np.finfo(float).eps
     assert fro(f.q - q) <= tol * math.sqrt(shape[1])
     assert fro(f.r - r) <= tol * fro(a)
+
+
+def test_mgs_loses_orthogonality_as_mgs_does_on_an_ill_conditioned_input():
+    # kappa = 1e7: MGS loses orthogonality as eps * kappa, about 1e-9 here;
+    # a classical Gram-Schmidt update past a panel would lose eps * kappa**2,
+    # about 1e-2, and fail by far.
+    rng = np.random.default_rng(45)
+    u = np.linalg.qr(rng.standard_normal((300, 120)))[0]
+    v = np.linalg.qr(rng.standard_normal((120, 120)))[0]
+    a = u @ np.diag(np.logspace(0.0, -7.0, 120)) @ v.T
+    q, q_ref = mgs_qr(a).q, _left_looking_mgs(a)[0]
+    assert fro(q.T @ q - np.eye(120)) <= 10.0 * fro(q_ref.T @ q_ref - np.eye(120))
 
 
 def test_householder_rank_deficient():

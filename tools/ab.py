@@ -1,6 +1,7 @@
 """Compare two checkouts on the same inputs: route bits, work counts and call times.
 
     python3 tools/ab.py OLD_ROOT NEW_ROOT
+    python3 tools/ab.py OLD_ROOT NEW_ROOT --scale
 
 Each root is a checkout with the package under ``src/``. The checkout
 holding this script builds the inputs once with ``bench/harness.prepare``:
@@ -38,6 +39,18 @@ at least 5 times, and keeps the median of each:
 Per call it prints each checkout's median over the rounds with its
 quartiles, in ms, the ratio NEW/OLD of the medians, and in how many rounds
 NEW was faster. It is a review aid, not a test.
+
+With ``--scale`` the tool times the six public factorizations at larger
+shapes instead, and computes no route arrays. This checkout builds three
+layers once: fold 0 of seed 7's ``erp-cv`` training rows with the
+harness's layer (792 x 100) and with a layer of width 780 redrawn from the
+same seed (792 x 780), and criterion 08's 5000 x 500 layer. Both
+checkouts factor those same arrays. On each layer the routes that factor
+``h`` at ridge 0 (``svd``, ``mgs_qr``, ``householder_qr``) factor ``h``;
+the others factor ``G = h.T h + 0.1 I``. Each call is timed as above, but
+at least 3 times, in the same alternating rounds, and printed in the same
+table. Then, per layer and checkout, it prints ``||Q.T Q - I||_F`` of
+``mgs_qr(h)``'s ``q``. A run takes a few minutes.
 """
 
 import argparse
@@ -61,6 +74,12 @@ TIMED_FOLD = "7/0"
 ROUNDS = 6
 MIN_REPEATS = 5
 TARGET_S = 0.1
+SCALE_REPEATS = 3
+SCALE_WIDTH = 780
+FACTORIZATIONS = ("lu_decompose", "mgs_qr", "householder_qr",
+                  "hessenberg_reduce", "schur_decompose", "svd")
+# The factorizations whose routes factor h itself at ridge 0.
+FACTOR_H = ("svd", "mgs_qr", "householder_qr")
 
 
 def write_inputs(out: Path) -> None:
@@ -80,14 +99,40 @@ def write_inputs(out: Path) -> None:
     np.savez(out, **inputs)
 
 
-def checkout(root: Path, inputs: Path):
-    """The elmbench of root's src, the activation, and {"seed/i": (x, t, weights, biases)}."""
-    sys.path.insert(0, str(root / "src"))
+def write_scale_inputs(out: Path) -> None:
+    """Write the --scale layers h, as this checkout builds them, to out (.npz)."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
     import numpy as np
 
     import elmbench as eb
+    import harness
+    seed = SEEDS[0]
+    prep = harness.prepare(harness.WORKLOADS["erp-cv"], seed, out.parent / f"data-{seed}")
+    x = prep.folds[0].x_train
+    wide = eb.init_random_layer(eb.ElmConfig(hidden_neurons=SCALE_WIDTH, rng_seed=seed),
+                                x.shape[1])
+    # Criterion 08's layer, as tests/test_acceptance.py draws it.
+    features = np.random.default_rng(77).uniform(0.0, 1.0, (5000, 64))
+    cfg = eb.ElmConfig(hidden_neurons=500, rng_seed=7)
+    layers = [eb.hidden_output(x, prep.weights, prep.biases, harness.ACTIVATION),
+              eb.hidden_output(x, *wide, harness.ACTIVATION),
+              eb.hidden_output(features, *eb.init_random_layer(cfg, 64), cfg.activation)]
+    np.savez(out, **{"x".join(map(str, h.shape)): h for h in layers})
+
+
+def package(root: Path):
+    """The elmbench of root's src."""
+    sys.path.insert(0, str(root / "src"))
+    import elmbench as eb
     if Path(eb.__file__).resolve().parent != (root / "src" / "elmbench").resolve():
         raise SystemExit(f"imported elmbench from {eb.__file__}, not {root / 'src'}")
+    return eb
+
+
+def checkout(root: Path, inputs: Path):
+    """The elmbench of root's src, the activation, and {"seed/i": (x, t, weights, biases)}."""
+    eb = package(root)
+    import numpy as np
     with np.load(inputs) as data:
         folds = {k[:-2]: tuple(data[k[:-1] + name] for name in ("x", "t", "weights", "biases"))
                  for k in data.files if k.endswith("/x")}
@@ -113,12 +158,12 @@ def dump(root: Path, inputs: Path, out: Path) -> None:
     np.savez(out, **arrays)
 
 
-def median_call_s(call) -> float:
-    """Median seconds of call() over at least MIN_REPEATS runs and about TARGET_S."""
+def median_call_s(call, min_repeats: int = MIN_REPEATS) -> float:
+    """Median seconds of call() over at least min_repeats runs and about TARGET_S."""
     call()
     start = time.perf_counter()
     call()
-    repeats = max(MIN_REPEATS, int(TARGET_S / (time.perf_counter() - start)))
+    repeats = max(min_repeats, int(TARGET_S / (time.perf_counter() - start)))
     times = []
     for _ in range(repeats):
         start = time.perf_counter()
@@ -136,12 +181,11 @@ def time_calls(root: Path, inputs: Path, out: Path) -> None:
     g = h.T @ h + RIDGE * np.eye(h.shape[1])
     rhs = {"h.T t": h.T @ t, "h.T": h.T}
     calls = {"hidden_output": lambda: eb.hidden_output(x, weights, biases, activation)}
-    factorizations = (eb.lu_decompose, eb.mgs_qr, eb.householder_qr,
-                      eb.hessenberg_reduce, eb.schur_decompose, eb.svd)
+    factorizations = [getattr(eb, name) for name in FACTORIZATIONS]
     for factorize in factorizations:
         calls[f"{factorize.__name__}(G)"] = lambda f=factorize: f(g)
-    for factorize in (eb.svd, eb.mgs_qr, eb.householder_qr):
-        calls[f"{factorize.__name__}(h)"] = lambda f=factorize: f(h)
+    for name in FACTOR_H:
+        calls[f"{name}(h)"] = lambda f=getattr(eb, name): f(h)
     for factorize in (eb.svd, eb.householder_qr):
         calls[f"{factorize.__name__}(h).solve(t)"] = lambda s=factorize(h).solve: s(t)
     for factorize in factorizations:
@@ -153,6 +197,24 @@ def time_calls(root: Path, inputs: Path, out: Path) -> None:
     for name, b in rhs.items():
         calls[f"tridiagonal_solve({name})"] = lambda b=b: eb.tridiagonal_solve(tri, b)
     out.write_text(json.dumps({name: median_call_s(call) for name, call in calls.items()}))
+
+
+def time_scale(root: Path, inputs: Path, out: Path) -> None:
+    """Write each factorization's median seconds and mgs_qr's ||Q.T Q - I||_F per --scale layer."""
+    eb = package(root)
+    import numpy as np
+    with np.load(inputs) as data:
+        layers = {shape: data[shape] for shape in data.files}
+    seconds, loss = {}, {}
+    for shape, h in layers.items():
+        g = h.T @ h + RIDGE * np.eye(h.shape[1])
+        for name in FACTORIZATIONS:
+            arg, matrix = ("h", h) if name in FACTOR_H else ("G", g)
+            seconds[f"{name}({arg}) {shape}"] = median_call_s(
+                lambda f=getattr(eb, name), a=matrix: f(a), SCALE_REPEATS)
+        q = eb.mgs_qr(h).q
+        loss[shape] = float(np.linalg.norm(q.T @ q - np.eye(q.shape[1])))
+    out.write_text(json.dumps({"seconds": seconds, "loss": loss}))
 
 
 def run(args: list, root: Path) -> None:
@@ -189,32 +251,64 @@ def report_times(old: list, new: list) -> None:
     """Print the timing table of two checkouts' rounds, one {call: seconds} per round."""
     def quartiles(values):
         q1, med, q3 = statistics.quantiles(values, n=4)
-        return f"{1e3 * med:8.3f} [{1e3 * q1:7.3f}, {1e3 * q3:7.3f}]"
+        return f"{1e3 * med:9.3f} [{1e3 * q1:8.3f}, {1e3 * q3:8.3f}]"
 
-    print(f"{'call (ms)':<34}{'OLD median [q1, q3]':>28}{'NEW median [q1, q3]':>28}"
+    print(f"{'call (ms)':<34}{'OLD median [q1, q3]':>31}{'NEW median [q1, q3]':>31}"
           f"{'NEW/OLD':>9}{'NEW faster':>12}")
     for name in new[0]:
         a = [r[name] for r in old]
         b = [r[name] for r in new]
         ratio = statistics.median(b) / statistics.median(a)
         faster = sum(y < x for x, y in zip(a, b))
-        print(f"{name:<34}{quartiles(a):>28}{quartiles(b):>28}{ratio:>9.3f}"
+        print(f"{name:<34}{quartiles(a):>31}{quartiles(b):>31}{ratio:>9.3f}"
               f"{f'{faster}/{len(a)}':>12}")
+
+
+def report_orthogonality(old: dict, new: dict) -> None:
+    """Print each layer's ||Q.T Q - I||_F of mgs_qr(h) in two checkouts, {layer: loss}."""
+    print(f"{'||Q.T Q - I||_F of mgs_qr(h)':<34}{'OLD':>10}{'NEW':>10}")
+    for shape in new:
+        print(f"{shape:<34}{old[shape]:>10.2e}{new[shape]:>10.2e}")
+
+
+def scale(roots: dict, tmp: Path) -> None:
+    """Time and print the --scale factorizations of the two checkouts in roots."""
+    inputs = tmp / "layers.npz"
+    run(["--scale-inputs", inputs], ROOT)
+    times, loss = {"old": [], "new": []}, {}
+    for i in range(ROUNDS):
+        for side in ("old", "new") if i % 2 == 0 else ("new", "old"):
+            out = tmp / f"{side}-{i}.json"
+            run(["--scale-time", roots[side], inputs, out], roots[side])
+            result = json.loads(out.read_text())
+            times[side].append(result["seconds"])
+            loss[side] = result["loss"]
+    report_times(times["old"], times["new"])
+    print()
+    report_orthogonality(loss["old"], loss["new"])
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # A subprocess: --inputs OUT, or --dump or --time ROOT INPUTS OUT.
-    modes = {"--inputs": write_inputs, "--dump": dump, "--time": time_calls}
+    # A subprocess: --inputs or --scale-inputs OUT, or --dump, --time or
+    # --scale-time ROOT INPUTS OUT.
+    modes = {"--inputs": write_inputs, "--dump": dump, "--time": time_calls,
+             "--scale-inputs": write_scale_inputs, "--scale-time": time_scale}
     if argv[:1] and argv[0] in modes:
         modes[argv[0]](*map(Path, argv[1:]))
         return 0
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old_root", type=Path)
     parser.add_argument("new_root", type=Path)
+    parser.add_argument("--scale", action="store_true",
+                        help="time the factorizations at 792x100, 792x780 and 5000x500")
     args = parser.parse_args(argv)
-    import numpy as np
     roots = {"old": args.old_root.resolve(), "new": args.new_root.resolve()}
+    if args.scale:
+        with tempfile.TemporaryDirectory() as tmp:
+            scale(roots, Path(tmp))
+        return 0
+    import numpy as np
     arrays, times = {}, {"old": [], "new": []}
     with tempfile.TemporaryDirectory() as tmp:
         inputs = Path(tmp) / "inputs.npz"
