@@ -20,7 +20,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionMismatch, InvalidLabel
-from .linalg import SolverKind, as_matrix, as_vector
+from .linalg import SolverKind, as_matrix, as_vector, power_of_two_below
 
 
 class ActivationKind(Enum):
@@ -172,12 +172,11 @@ def _check_solve_args(solver, ridge_lambda) -> None:
 def _normal_factor(h: np.ndarray, solver: SolverKind, lam: float) -> tuple[object, float]:
     """Divide h in place by s and factor h.T h + (lam / s**2) I; return the factors and s.
 
-    s is the power of two at or below max(max |h|, sqrt(lam)): it rounds
+    s is power_of_two_below(max(max |h|, sqrt(lam))): it rounds
     nothing, lam / s**2 < 4, and the scaled system's largest diagonal entry
     is at least 1, so neither a huge nor a tiny h overflows or underflows it.
     """
-    peak = max(np.abs(h).max(), math.sqrt(lam))
-    s = math.ldexp(0.5, math.frexp(peak)[1]) if peak > 0.0 else 1.0
+    s = power_of_two_below(max(np.abs(h).max(), math.sqrt(lam)))
     h /= s
     return _FACTOR[solver](h.T @ h + lam / s / s * np.eye(h.shape[1])), s
 

@@ -113,12 +113,13 @@ class SvdFactors:
     """Thin singular value decomposition a ~= u @ diag(sigma) @ v.T.
 
     u and v are each q @ [top; 0], q the product of compact-WY blocks, and
-    are formed only when read, as _HouseholderFactors.q is. A tall a keeps
-    the blocks of its reduction a == q r in u_blocks and an m x m factor in
-    u_top, so u is n x m; a wide a, factored through its transpose, keeps
-    them in v_blocks and v_top. Every other factor has no blocks and is its
-    top. solve applies q.T block by block, as LAPACK's dgesdd applies its
-    reflectors (dormbr), and never forms u.
+    are formed only when read, as _HouseholderFactors.q is. A tall or square
+    a keeps the blocks of its one reduction a[:, perm] == q r, pivoted or
+    not, in u_blocks and an m x m factor in u_top, so u is n x m; a wide a,
+    factored through its transpose, keeps them in v_blocks and v_top. The
+    other factor has no blocks and is its top. solve applies q.T block by
+    block, as LAPACK's dgesdd applies its reflectors (dormbr), and never
+    forms u.
 
     iterations counts _bidiag_dc's work, the leaves' QL iterations plus the
     merges' secular passes, against its budget EIGEN_ITER_FACTOR * 2k, k
@@ -204,7 +205,7 @@ def _zero_below(scale):
     return np.maximum(PIVOT_RTOL * scale, np.finfo(float).tiny)
 
 
-def _power_of_two_below(x: float) -> float:
+def power_of_two_below(x: float) -> float:
     """The power of two at or below x > 0; 0.5 for x == 0."""
     return math.ldexp(0.5, math.frexp(x)[1])
 
@@ -216,7 +217,7 @@ def _unit_scale(work: np.ndarray) -> float:
     (Blue, ACM TOMS 4(1), 1978), and a power of two rounds nothing: the scale
     multiplied back into sigma, r or t gives the unscaled factorization's bits.
     """
-    scale = _power_of_two_below(np.abs(work).max())
+    scale = power_of_two_below(np.abs(work).max())
     work /= scale
     return scale
 
@@ -470,15 +471,15 @@ def _householder_reduce(work: np.ndarray) -> list:
 
 
 def _pivoted_reduce(work: np.ndarray) -> tuple[list, np.ndarray]:
-    """Reduce a square work in place to upper-triangular form, pivoting columns.
+    """Reduce work (rows >= cols) in place to upper-triangular form, pivoting columns.
 
-    Returns the compact-WY blocks of the reflectors, as _householder_reduce
-    does, and perm with work[:, perm] == q r for the input work. Step j
-    swaps the remaining column of largest norm over rows j: into place
-    (Businger & Golub, Numer. Math. 7, 1965), so |r[j, j]| >= ||r[j:, k]||
-    for every k > j. The reduction is unblocked, since a pivot choice needs
-    the norms after every previous step; its reflectors are blocked once,
-    at the end.
+    Returns the compact-WY blocks of the reflectors on all of work's rows,
+    as _householder_reduce does, and perm with work[:, perm] == q r for the
+    input work. Step j swaps the remaining column of largest norm over rows
+    j: into place (Businger & Golub, Numer. Math. 7, 1965), so |r[j, j]| >=
+    ||r[j:, k]|| for every k > j. The reduction is unblocked, since a pivot
+    choice needs the norms after every previous step; its reflectors are
+    blocked once, at the end.
     """
     m = work.shape[1]
     # Reduced transposed, so each column is a contiguous row.
@@ -495,7 +496,7 @@ def _pivoted_reduce(work: np.ndarray) -> tuple[list, np.ndarray]:
         rest -= np.outer(2.0 * (rest @ v), v)
         reflectors.append(v)
     work[:] = wt.T
-    return _wy_blocks(reflectors, m), perm
+    return _wy_blocks(reflectors, work.shape[0]), perm
 
 
 def _apply_reflectors(blocks: list, n: int, top: np.ndarray) -> np.ndarray:
@@ -1112,7 +1113,7 @@ def _thomas(t: np.ndarray, b: np.ndarray) -> np.ndarray:
     # The sweeps solve (t / scale) y == b, so no elimination pivot of a huge
     # t overflows; x is y / scale. A power of two rounds nothing, so
     # neither the pivot test nor the answer changes a bit on other input.
-    scale = _power_of_two_below(peak)
+    scale = power_of_two_below(peak)
     floor = _zero_below(peak) / scale
     # The sweeps run on Python floats, which are faster here than numpy's.
     # A row of rhs is a float for a vector b and a row array for a matrix,
@@ -1187,7 +1188,7 @@ def _bidiag_deflate(sig: np.ndarray, u: np.ndarray, v: np.ndarray, split: int,
     d = sig.copy()
     d[split] = 0.0
     peak = max(np.abs(d).max(), np.abs(z).max())
-    scale = _power_of_two_below(peak)
+    scale = power_of_two_below(peak)
     d /= scale
     z /= scale
     tol = 8.0 * _EPS * max(peak / scale, 1.0)
@@ -1323,46 +1324,47 @@ def _bidiag_dc(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
 def svd(a) -> SvdFactors:
     """Thin SVD by Golub-Kahan bidiagonalization and bidiagonal divide and conquer.
 
-    A wide matrix is factored through its transpose. A tall n x m matrix is
-    first reduced by the blocked reduction a == q r to its m x m triangular
-    factor r (Chan, ACM TOMS 8(1), 1982); a square one is already m x m.
+    A wide matrix is factored through its transpose. Every other n x m
+    matrix, square or tall, is first reduced by the blocked reduction
+    a == q r to its m x m triangular factor r (Chan, ACM TOMS 8(1), 1982).
     Then:
 
-    - a column-pivoted reduction r[:, perm] == qp rp (Businger & Golub,
-      Numer. Math. 7, 1965), for a square a and for a tall a whose r has a
-      diagonal entry below _zero_below the largest; any other r has full
-      rank and goes on as rp == r, with qp == I and perm the identity. The
-      reduction gives |rp[j, j]| >= ||rp[j:, c]|| for c > j, so a zero pivot
-      leaves every later row of rp exactly zero. Only the k rows above the
-      first zero pivot go on; the trailing m - k singular values are exact
-      zeros;
-    - t == rp[:k].T, m x k, is bidiagonalized by reflectors on rows j:
+    - if r has a diagonal entry below _zero_below the largest, the reduction
+      is discarded and a is reduced again, by the column-pivoted reduction
+      a[:, perm] == q r (Businger & Golub, Numer. Math. 7, 1965). It gives
+      |r[j, j]| >= ||r[j:, c]|| for c > j, so a zero pivot leaves every
+      later row of r exactly zero. Only the k rows above the first zero
+      pivot go on; the trailing m - k singular values are exact zeros. Any
+      other r has full rank and goes on whole, with perm the identity;
+    - t == r[:k].T, m x k, is bidiagonalized by reflectors on rows j:
       from the left and on columns j + 1: from the right, t == pl [b; 0]
       pr.T with b upper bidiagonal, diagonal d and superdiagonal f (Golub &
       Kahan, SIAM J. Numer. Anal. 2(2), 1965);
     - _bidiag_dc gives b == u_b diag(sigma) v_b.T under its scale, budget
       and order rules.
 
-    Since a[:, perm] == q qp rp and rp[:k] == pr v_b diag(sigma) u_b.T
-    pl[:, :k].T, u is q qp diag(pr v_b, I) and v[perm] is pl diag(u_b, I).
-    The factors keep q as its compact-WY blocks and qp diag(pr v_b, I) as
-    u's m x m top, so the n x m u is formed only when read.
+    Since a[:, perm] == q r and r[:k] == pr v_b diag(sigma) u_b.T
+    pl[:, :k].T, u is q diag(pr v_b, I) and v[perm] is pl diag(u_b, I).
+    The factors keep q as its compact-WY blocks and diag(pr v_b, I) as u's
+    m x m top, so the n x m u is formed only when read.
     """
-    a = as_matrix(a, "a")
-    wide = a.shape[0] < a.shape[1]
-    a = np.ascontiguousarray(a.T if wide else a)
-    n, m = a.shape
-    scale = _unit_scale(a)
-    blocks = _householder_reduce(a) if n > m else []
-    r = np.triu(a[:m]) if blocks else a
-    pivots = np.abs(np.diag(r))
-    if blocks and pivots.min() >= _zero_below(pivots.max()):
-        pivot_blocks, perm, k = [], np.arange(m), m
-    else:
-        pivot_blocks, perm = _pivoted_reduce(r)
-        # An all-zero rp still bidiagonalizes one zero column, to sigma == 0.
-        k = max(int(np.count_nonzero(np.diag(r))), 1)
-    t = np.ascontiguousarray(np.triu(r)[:k].T)
+    work = as_matrix(a, "a")
+    wide = work.shape[0] < work.shape[1]
+    work = np.ascontiguousarray(work.T if wide else work)
+    m = work.shape[1]
+    scale = _unit_scale(work)
+    blocks = _householder_reduce(work)
+    perm, k = np.arange(m), m
+    pivots = np.abs(np.diag(work))
+    if pivots.min() < _zero_below(pivots.max()):
+        # A fresh copy of a, divided by the same power of two: the bits
+        # that _householder_reduce started from.
+        work = as_matrix(a, "a")
+        work = (work.T if wide else work) / scale
+        blocks, perm = _pivoted_reduce(work)
+        # An all-zero r still bidiagonalizes one zero column, to sigma == 0.
+        k = max(int(np.count_nonzero(np.diag(work))), 1)
+    t = np.ascontiguousarray(np.triu(work[:k]).T)
     # Right reflector j acts on columns j + 1:, so it is stored at index j + 1.
     left, right = [], [np.zeros(k)]
     for j in range(k):
@@ -1383,7 +1385,7 @@ def svd(a) -> SvdFactors:
     v[perm] = _apply_reflectors(_wy_blocks(left, m), m, v_r)
     sigma = np.zeros(m)
     sigma[:k] = sigma_b * scale
-    u_side, v_side = (blocks, _q_times(pivot_blocks, u_r)), ([], v)
+    u_side, v_side = (blocks, u_r), ([], v)
     if wide:
         u_side, v_side = v_side, u_side
     return SvdFactors(*u_side, sigma, *v_side, iterations=iterations)

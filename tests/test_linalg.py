@@ -349,28 +349,29 @@ def test_blocked_householder_matches_reflector_loop(cols):
         assert fro(got - want) <= tol * fro(b)
 
 
-def _rank_four_with_zero_column():
+def _low_rank_with_zero_column(rows, rank, cols):
     rng = np.random.default_rng(43)
-    a = rng.standard_normal((10, 4)) @ rng.standard_normal((4, 10))
+    a = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
     a[:, 6] = 0.0
     return a
 
 
-# Square inputs to _pivoted_reduce with their ranks.
+# Inputs to _pivoted_reduce with their ranks.
 _PIVOTED_INPUTS = {
     "random": (np.random.default_rng(42).standard_normal((30, 30)), 30),
-    "rank4": (_rank_four_with_zero_column(), 4),
+    "rank4": (_low_rank_with_zero_column(10, 4, 10), 4),
+    "tall-rank12": (_low_rank_with_zero_column(40, 12, 30), 12),
 }
 
 
 @pytest.mark.parametrize("a, rank", _PIVOTED_INPUTS.values(), ids=_PIVOTED_INPUTS.keys())
 def test_pivoted_reduce_picks_the_largest_remaining_column(a, rank):
-    m = a.shape[0]
+    n, m = a.shape
     work = a.copy()
     blocks, perm = linalg._pivoted_reduce(work)
-    r = np.triu(work)
+    r = np.triu(work[:m])
     assert sorted(perm.tolist()) == list(range(m))
-    q = linalg._apply_reflectors(blocks, m, np.eye(m))
+    q = linalg._apply_reflectors(blocks, n, np.eye(m))
     assert fro(a[:, perm] - q @ r) <= 1e-12 * fro(a)
     # Businger-Golub: each pivot is at least the norm of every later column
     # on and below its row, up to round-off in the scale of a.
@@ -402,7 +403,7 @@ def _fancy_index_pivoted_reduce(work):
         v = linalg._reflector(wt[j, j:])
         rest -= np.outer(2.0 * (rest @ v), v)
         reflectors.append(v)
-    return linalg._wy_blocks(reflectors, m), perm, wt.T
+    return linalg._wy_blocks(reflectors, work.shape[0]), perm, wt.T
 
 
 @pytest.mark.parametrize("name", list(_PIVOTED_INPUTS))
@@ -1179,7 +1180,7 @@ EXACTLY_RANK_DEFICIENT = {
     "two-zero-columns": _with_zero_columns(1, 4),
     "single-nonzero-column": _with_zero_columns(0, 1, 2, 4, 5, 6),
     "all-zero": np.zeros((20, 7)),
-    # A square a goes straight to the pivoted reduction.
+    # A square a takes the same path as a tall one.
     "square-two-zero-columns": _with_zero_columns(1, 4, rows=7),
     "square-all-zero": np.zeros((7, 7)),
 }
@@ -1187,8 +1188,9 @@ EXACTLY_RANK_DEFICIENT = {
 
 @pytest.mark.parametrize("case", EXACTLY_RANK_DEFICIENT)
 def test_svd_exact_rank_deficiency(case):
-    # rp has exactly zero trailing rows here, so only its leading rows are
-    # bidiagonalized and v is completed by the left reflectors' columns.
+    # The pivoted r has exactly zero trailing rows here, so only its leading
+    # rows are bidiagonalized and v is completed by the left reflectors'
+    # columns.
     a = EXACTLY_RANK_DEFICIENT[case]
     f = svd(a)
     null = f.sigma == 0.0
@@ -1214,9 +1216,9 @@ def test_svd_square_singular_psd_gives_an_exact_zero():
     assert fro(a - f.u @ np.diag(f.sigma) @ f.v.T) <= 1e-14 * fro(a)
 
 
-def test_square_svd_skips_the_tall_reduction(monkeypatch):
-    # A square a is already m x m; a tall a is reduced to m x m first, and
-    # that is the only _householder_reduce call of a full-rank input.
+def test_svd_reduces_every_shape_once_by_the_tall_reduction(monkeypatch):
+    # Tall, square and wide a are each reduced to m x m by one
+    # _householder_reduce call, a wide a through its transpose.
     calls = []
     reduce = linalg._householder_reduce
 
@@ -1226,11 +1228,10 @@ def test_square_svd_skips_the_tall_reduction(monkeypatch):
 
     monkeypatch.setattr(linalg, "_householder_reduce", counted)
     a = np.random.default_rng(61).standard_normal((9, 6))
-    svd(a)
-    tall, calls[:] = calls[:], []
-    svd(a[:6])
-    assert calls == []
-    assert tall == [(9, 6)]
+    for shaped, want in ((a, (9, 6)), (a[:6], (6, 6)), (a.T, (9, 6))):
+        calls.clear()
+        svd(shaped)
+        assert calls == [want], shaped.shape
 
 
 def test_svd_halves_take_the_householder_qr_only_when_degenerate(monkeypatch):
@@ -1259,10 +1260,10 @@ def test_svd_halves_take_the_householder_qr_only_when_degenerate(monkeypatch):
         assert fro(f.v.T @ f.v - np.eye(m)) <= 1e-13
 
 
-def test_svd_pivots_only_a_square_or_nearly_rank_deficient_input(monkeypatch):
-    # A tall a's r goes to the column-pivoted reduction only when one of its
-    # diagonal entries is below _zero_below the largest; a square a has no r
-    # of its own and always goes. A wide a is factored through its transpose.
+def test_svd_pivots_only_a_nearly_rank_deficient_input(monkeypatch):
+    # a itself, not its r, goes to the column-pivoted reduction, and only
+    # when one of r's diagonal entries is below _zero_below the largest,
+    # square or tall. A wide a is factored through its transpose.
     calls = []
     pivoted = linalg._pivoted_reduce
 
@@ -1275,21 +1276,21 @@ def test_svd_pivots_only_a_square_or_nearly_rank_deficient_input(monkeypatch):
     equal = np.random.default_rng(531).standard_normal((20, 7))
     equal[:, 5] = equal[:, 2]  # r's diagonal ratio is 7.1e-17
     cases = {
-        "full-rank hidden": (h, 0),
-        "full-rank wide": (h.T, 0),
-        "zero column": (_with_zero_columns(3), 1),
-        "equal columns": (equal, 1),
-        "square": (h[:50], 1),
-        "square normal matrix": (h.T @ h, 1),
+        "full-rank hidden": (h, []),
+        "full-rank wide": (h.T, []),
+        "zero column": (_with_zero_columns(3), [(20, 7)]),
+        "equal columns": (equal, [(20, 7)]),
+        "square": (h[:50], []),
+        "square normal matrix": (h.T @ h, []),
     }
     for name, (a, want) in cases.items():
         calls.clear()
         svd(a)
-        assert len(calls) == want, name
+        assert calls == want, name
 
 
 def test_svd_route_never_forms_u(monkeypatch):
-    # solve reads u only as u.T b: q.T from the tall reduction's blocks,
+    # solve reads u only as u.T b: q.T from the reduction's blocks,
     # applied block by block, then the m x m top's transpose.
     def no_u(self):
         raise AssertionError("the svd route formed u")

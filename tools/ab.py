@@ -9,6 +9,10 @@ the 12 ``erp-cv`` folds of seeds 7 and 23, each fold's ``x_train`` and
 ``t_train`` with its seed's ``weights`` and ``biases``, and the harness's
 activation. Both checkouts read that one ``.npz``, so a change to data
 generation, the CSV format or the normalizer cannot move what they compute.
+With them it writes an oracle: for each fold's ``h`` and each ridge
+``lam`` in {0, 0.1}, ``numpy.linalg.lstsq``'s solution of
+``[h; sqrt(lam) I] w = [t; 0]``, computed in the tool's own process and
+never in the package.
 Every subprocess runs with a single OpenBLAS thread and its checkout's
 ``src`` first on the path.
 
@@ -19,9 +23,11 @@ and ``hat_diagnostic`` at 0.1. It also records the ``iterations`` of
 72 counts. Per route the tool prints how many arrays are ``np.array_equal``
 to OLD_ROOT's, the largest relative change ``||new - old|| / ||old||`` and,
 OLD_ROOT's next to NEW_ROOT's, the largest relative distance of each
-checkout's array from its own ``hh-qr`` route's. Per factorization it prints
-how many folds count the same iterations. A route that raises in either
-checkout stops the run.
+checkout's array from its own ``hh-qr`` route's, and, OLD_ROOT's next to
+NEW_ROOT's at each ridge, the largest forward error ``||w - w_oracle|| /
+||w_oracle||`` of its weights. Per factorization it prints how many folds
+count the same iterations. A route that raises in either checkout stops
+the run.
 
 Then 6 rounds each run one ``--time`` subprocess per checkout, and the
 checkout that goes first alternates. On fold 0 of seed 7 a subprocess times
@@ -40,21 +46,23 @@ Per call it prints each checkout's median over the rounds with its
 quartiles, in ms, the ratio NEW/OLD of the medians, and in how many rounds
 NEW was faster. It is a review aid, not a test.
 
-With ``--scale`` the tool times the six public factorizations at larger
-shapes instead, and computes no route arrays. This checkout builds three
-layers once: fold 0 of seed 7's ``erp-cv`` training rows with the
-harness's layer (792 x 100) and with a layer of width 780 redrawn from the
-same seed (792 x 780), and criterion 08's 5000 x 500 layer. Both
-checkouts factor those same arrays. On each layer the routes that factor
-``h`` at ridge 0 (``svd``, ``mgs_qr``, ``householder_qr``) factor ``h``;
-the others factor ``G = h.T h + 0.1 I``. Each call is timed as above, but
-at least 3 times, in the same alternating rounds, and printed in the same
-table. Then, per layer and checkout, it prints ``||Q.T Q - I||_F`` of
-``mgs_qr(h)``'s ``q``. A run takes a few minutes.
+With ``--scale`` the tool times the six public factorizations at other
+shapes instead, and computes no route arrays. This checkout builds four
+layers once: criterion 01's first 200 x 50 system, fold 0 of seed 7's
+``erp-cv`` training rows with the harness's layer (792 x 100) and with a
+layer of width 780 redrawn from the same seed (792 x 780), and criterion
+08's 5000 x 500 layer. Both checkouts factor those same arrays. On each
+layer the routes that factor ``h`` at ridge 0 (``svd``, ``mgs_qr``,
+``householder_qr``) factor ``h``; the others factor ``G = h.T h + 0.1 I``.
+Each call is timed as above, but at least 3 times, in the same
+alternating rounds, and printed in the same table. Then, per layer and
+checkout, it prints ``||Q.T Q - I||_F`` of ``mgs_qr(h)``'s ``q``. A run
+takes a few minutes.
 """
 
 import argparse
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -70,6 +78,8 @@ LAMBDAS = (0.0, RIDGE)
 REFERENCE = "hh-qr"
 # Prefix of the work-count entries, which are not route arrays.
 WORK = "iterations:"
+# Prefix of the oracle's weights in the inputs.
+ORACLE = "oracle/"
 TIMED_FOLD = "7/0"
 ROUNDS = 6
 MIN_REPEATS = 5
@@ -82,11 +92,21 @@ FACTORIZATIONS = ("lu_decompose", "mgs_qr", "householder_qr",
 FACTOR_H = ("svd", "mgs_qr", "householder_qr")
 
 
+def oracle_weights(h, t, lam: float):
+    """numpy.linalg.lstsq's w for [h; sqrt(lam) I] w = [t; 0]."""
+    import numpy as np
+    m = h.shape[1]
+    a = np.vstack([h, math.sqrt(lam) * np.eye(m)])
+    b = np.concatenate([t, np.zeros((m,) + t.shape[1:])])
+    return np.linalg.lstsq(a, b, rcond=None)[0]
+
+
 def write_inputs(out: Path) -> None:
-    """Write the folds of SEEDS, as this checkout's prepare builds them, to out (.npz)."""
+    """Write the folds of SEEDS, as this checkout's prepare builds them, and the oracle, to out."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
     import numpy as np
 
+    import elmbench as eb
     import harness
     inputs = {"activation": harness.ACTIVATION.value}
     for seed in SEEDS:
@@ -96,6 +116,9 @@ def write_inputs(out: Path) -> None:
             inputs.update({f"{seed}/{i}/x": fold.x_train, f"{seed}/{i}/t": fold.t_train,
                            f"{seed}/{i}/weights": prep.weights,
                            f"{seed}/{i}/biases": prep.biases})
+            h = eb.hidden_output(fold.x_train, prep.weights, prep.biases, harness.ACTIVATION)
+            for lam in LAMBDAS:
+                inputs[f"{ORACLE}w{lam}/{seed}/{i}"] = oracle_weights(h, fold.t_train, lam)
     np.savez(out, **inputs)
 
 
@@ -111,10 +134,12 @@ def write_scale_inputs(out: Path) -> None:
     x = prep.folds[0].x_train
     wide = eb.init_random_layer(eb.ElmConfig(hidden_neurons=SCALE_WIDTH, rng_seed=seed),
                                 x.shape[1])
-    # Criterion 08's layer, as tests/test_acceptance.py draws it.
+    # Criterion 01's first system and criterion 08's layer, as
+    # tests/test_acceptance.py draws them.
     features = np.random.default_rng(77).uniform(0.0, 1.0, (5000, 64))
     cfg = eb.ElmConfig(hidden_neurons=500, rng_seed=7)
-    layers = [eb.hidden_output(x, prep.weights, prep.biases, harness.ACTIVATION),
+    layers = [np.random.default_rng(1234).uniform(-1.0, 1.0, (200, 50)),
+              eb.hidden_output(x, prep.weights, prep.biases, harness.ACTIVATION),
               eb.hidden_output(x, *wide, harness.ACTIVATION),
               eb.hidden_output(features, *eb.init_random_layer(cfg, 64), cfg.activation)]
     np.savez(out, **{"x".join(map(str, h.shape)): h for h in layers})
@@ -223,23 +248,32 @@ def run(args: list, root: Path) -> None:
     subprocess.run([sys.executable, __file__, *map(str, args)], env=env, check=True)
 
 
-def report_routes(old: dict, new: dict) -> None:
-    """Print the route table and the iterations table of two dumps."""
+def report_routes(old: dict, new: dict, oracle: dict) -> None:
+    """Print the route table and the iterations table of two dumps.
+
+    oracle maps "w{lam}/{fold}" to the oracle's weights; each of its
+    ridges adds an OLD and a NEW column of the routes' forward errors.
+    """
     import numpy as np
 
     def rel(x, y):
         return float(np.linalg.norm(x - y) / max(np.linalg.norm(y), np.finfo(float).tiny))
 
+    ridges = list(dict.fromkeys(k.split("/", 1)[0] for k in oracle))
     print(f"{'route':<12}{'equal':>8}{'max rel change':>17}"
-          f"{'max dist from ' + REFERENCE + ': OLD':>27}{'NEW':>10}")
+          f"{'max dist from ' + REFERENCE + ': OLD':>27}{'NEW':>10}"
+          + "".join(f"{'fwd err ' + w + ': OLD':>19}{'NEW':>10}" for w in ridges))
     for route in dict.fromkeys(k.split("/", 1)[0] for k in new if not k.startswith(WORK)):
         keys = [k for k in new if k.split("/", 1)[0] == route]
         equal = sum(np.array_equal(new[k], old[k]) for k in keys)
         change = max(rel(new[k], old[k]) for k in keys)
         dist = [max(rel(side[k], side[REFERENCE + k[len(route):]]) for k in keys)
                 for side in (old, new)]
+        errors = [[max(rel(side[f"{route}/{k}"], oracle[k]) for k in oracle
+                       if k.startswith(w + "/")) for side in (old, new)] for w in ridges]
         print(f"{route:<12}{f'{equal}/{len(keys)}':>8}{change:>17.2e}"
-              f"{dist[0]:>27.2e}{dist[1]:>10.2e}")
+              f"{dist[0]:>27.2e}{dist[1]:>10.2e}"
+              + "".join(f"{e[0]:>19.2e}{e[1]:>10.2e}" for e in errors))
     print(f"\n{'iterations of':<20}{'equal':>8}")
     for name in dict.fromkeys(k.split("/", 1)[0] for k in new if k.startswith(WORK)):
         keys = [k for k in new if k.split("/", 1)[0] == name]
@@ -301,7 +335,7 @@ def main(argv=None) -> int:
     parser.add_argument("old_root", type=Path)
     parser.add_argument("new_root", type=Path)
     parser.add_argument("--scale", action="store_true",
-                        help="time the factorizations at 792x100, 792x780 and 5000x500")
+                        help="time the factorizations at 200x50, 792x100, 792x780 and 5000x500")
     args = parser.parse_args(argv)
     roots = {"old": args.old_root.resolve(), "new": args.new_root.resolve()}
     if args.scale:
@@ -313,6 +347,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         inputs = Path(tmp) / "inputs.npz"
         run(["--inputs", inputs], ROOT)
+        with np.load(inputs) as data:
+            oracle = {k[len(ORACLE):]: data[k] for k in data.files if k.startswith(ORACLE)}
         for side, root in roots.items():
             out = Path(tmp) / f"{side}.npz"
             run(["--dump", root, inputs, out], root)
@@ -323,7 +359,7 @@ def main(argv=None) -> int:
                 out = Path(tmp) / f"{side}-{i}.json"
                 run(["--time", roots[side], inputs, out], roots[side])
                 times[side].append(json.loads(out.read_text()))
-    report_routes(arrays["old"], arrays["new"])
+    report_routes(arrays["old"], arrays["new"], oracle)
     print()
     report_times(times["old"], times["new"])
     return 0
