@@ -113,13 +113,13 @@ class SvdFactors:
     """Thin singular value decomposition a ~= u @ diag(sigma) @ v.T.
 
     u and v are each q @ [top; 0], q the product of compact-WY blocks, and
-    are formed only when read, as _HouseholderFactors.q is. A tall or square
-    a keeps the blocks of its one reduction a[:, perm] == q r, pivoted or
-    not, in u_blocks and an m x m factor in u_top, so u is n x m; a wide a,
-    factored through its transpose, keeps them in v_blocks and v_top. The
-    other factor has no blocks and is its top. solve applies q.T block by
-    block, as LAPACK's dgesdd applies its reflectors (dormbr), and never
-    forms u.
+    are formed by _apply_reflectors only when read, as _HouseholderFactors.q
+    is. A tall or square a keeps the blocks of its one reduction
+    a[:, perm] == q r, pivoted or not, in u_blocks and an m x m factor in
+    u_top, so u is n x m; a wide a, factored through its transpose, keeps
+    them in v_blocks and v_top. The other factor has no blocks and is its
+    top. solve applies q.T block by block, as LAPACK's dgesdd applies its
+    reflectors (dormbr), and never forms u.
 
     iterations counts _bidiag_dc's work, the leaves' QL iterations plus the
     merges' secular passes, against its budget EIGEN_ITER_FACTOR * 2k, k
@@ -136,12 +136,12 @@ class SvdFactors:
     @property
     def u(self) -> np.ndarray:
         """The orthonormal left factor, n x m for a tall a."""
-        return _q_times(self.u_blocks, self.u_top)
+        return _apply_reflectors(self.u_blocks, self.u_top)
 
     @property
     def v(self) -> np.ndarray:
         """The orthonormal right factor, n x m for a wide a."""
-        return _q_times(self.v_blocks, self.v_top)
+        return _apply_reflectors(self.v_blocks, self.v_top)
 
     @_QUIET
     def solve(self, b: np.ndarray) -> np.ndarray:
@@ -152,7 +152,7 @@ class SvdFactors:
             raise RankDeficient("singular values collapse below tolerance")
         _apply_qt(self.u_blocks, b)
         y = (self.u_top.T @ b[:s.size]) / _by_row(s, b)
-        return _finite(_q_times(self.v_blocks, self.v_top @ y))
+        return _finite(_apply_reflectors(self.v_blocks, self.v_top @ y))
 
 
 def _by_row(d: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -499,30 +499,24 @@ def _pivoted_reduce(work: np.ndarray) -> tuple[list, np.ndarray]:
     return _wy_blocks(reflectors, work.shape[0]), perm
 
 
-def _apply_reflectors(blocks: list, n: int, top: np.ndarray) -> np.ndarray:
-    """Return q @ [top; 0], q the n-row product of the compact-WY blocks.
+def _apply_reflectors(blocks: list, top: np.ndarray) -> np.ndarray:
+    """Return q @ [top; 0], q the product of the compact-WY blocks; top if there are none.
 
-    top is a vector or a matrix of columns. Every orthogonal factor that is
-    formed at all is formed here: q of hessenberg_reduce from top =
-    identity, q of householder_qr from its diagonal of signs, the SVD's u
-    and v from their m x m tops. The blocks are applied last to first,
-    block j0 to rows j0: as out -= v (t (v.T out)), reusing the v and t that
-    the reduction built. When top is an upper-triangular matrix, as a
-    diagonal is, columns < j0 are still zero in rows j0: when block j0
-    comes, so it cannot change them and is applied to columns j0: only.
+    top is a vector or a matrix of columns, and block 0 spans all of q's
+    rows. Every orthogonal factor that is formed at all is formed here: q
+    of hessenberg_reduce from top = identity, q of householder_qr from its
+    diagonal of signs, the SVD's u and v from their m x m tops. The blocks
+    are applied last to first, block j0 to rows j0: as out -= v (t (v.T
+    out)), reusing the v and t that the reduction built.
     """
-    out = np.zeros((n,) + top.shape[1:])
+    if not blocks:
+        return top
+    out = np.zeros((blocks[0][1].shape[0],) + top.shape[1:])
     out[:top.shape[0]] = top
-    triangular = top.ndim == 2 and not np.tril(top, -1).any()
     for j0, v, t in reversed(blocks):
-        block = out[j0:, j0:] if triangular else out[j0:]
-        block -= v @ (t @ (v.T @ block))
+        rows = out[j0:]
+        rows -= v @ (t @ (v.T @ rows))
     return out
-
-
-def _q_times(blocks: list, top: np.ndarray) -> np.ndarray:
-    """q @ [top; 0], q the product of blocks, block 0 on all its rows; top if there are none."""
-    return _apply_reflectors(blocks, blocks[0][1].shape[0], top) if blocks else top
 
 
 @dataclass(frozen=True)
@@ -540,7 +534,7 @@ class _HouseholderFactors:
     @property
     def q(self) -> np.ndarray:
         """The thin orthonormal factor, its column j times signs[j]."""
-        return _q_times(self.blocks, np.diag(self.signs))
+        return _apply_reflectors(self.blocks, np.diag(self.signs))
 
     @_QUIET
     def solve(self, b: np.ndarray) -> np.ndarray:
@@ -651,7 +645,7 @@ def hessenberg_reduce(a) -> SimilarityFactors:
     if n > 1:
         off[n - 2] = work[n - 1, n - 2]
     t = (np.diag(np.diag(work)) + np.diag(off, -1) + np.diag(off, 1)) * scale
-    q = _apply_reflectors(_wy_blocks(reflectors, n), n, np.eye(n))
+    q = _apply_reflectors(_wy_blocks(reflectors, n), np.eye(n))
     return SimilarityFactors(q=q, t=t)
 
 
@@ -962,27 +956,28 @@ def _merge_deflate(d: np.ndarray, vecs: np.ndarray, split: int,
     after Cuppen's tear, which subtracted |beta| from the diagonal on both
     sides of it; the tridiagonal is then diag(T1, T2) + rho v v.T with v the
     unit (e_split-1 + sign(beta) e_split) / sqrt(2) and rho == 2 |beta|.
-    The merge follows LAPACK's dlaed2/dlaed3 (Gu & Eisenstat, SIMAX 16(1),
-    1995): z, the vector v seen from the halves' eigenvectors, comes from
-    the two boundary rows of vecs, and the pairs are sorted by d. A pole
-    whose rho |z_j| is below tol == 8 eps max(|d|, |z|) keeps its pair; a
-    pole close to the next is deflated by _rotate_close_poles. Returns the
-    sorted, rotated d and vecs; keep, the indices of the poles left; and
-    their secular problem (d[keep], z[keep], rho) for _secular_roots. keep
-    is empty when every pole deflates, and then d and vecs are the merged
-    eigenpairs.
+    d and vecs are the node's slices of _tridiag_dc's arrays, and the merge
+    works in them: they are sorted and rotated in place. The merge follows
+    LAPACK's dlaed2/dlaed3 (Gu & Eisenstat, SIMAX 16(1), 1995): z, the
+    vector v seen from the halves' eigenvectors, comes from the two
+    boundary rows of vecs, and the pairs are sorted by d. A pole whose
+    rho |z_j| is below tol == 8 eps max(|d|, |z|) keeps its pair; a pole
+    close to the next is deflated by _rotate_close_poles. Returns d and
+    vecs; keep, the indices of the poles left; and their secular problem
+    (d[keep], z[keep], rho) for _secular_roots. keep is empty when every
+    pole deflates, and then d and vecs hold the merged eigenpairs.
     """
     z = (vecs[split - 1] + math.copysign(1.0, beta) * vecs[split]) / math.sqrt(2.0)
     rho = 2.0 * abs(beta)
     order = np.argsort(d, kind="stable")
-    d, z, vecs = d[order], z[order], vecs[:, order]
+    d[:], z, vecs[:] = d[order], z[order], vecs[:, order]
     tol = 8.0 * _EPS * max(np.abs(d).max(), np.abs(z).max())
     poles = np.flatnonzero(rho * np.abs(z) > tol)
     if not poles.size:
         return d, vecs, poles, (d[poles], z[poles], rho)
-    d, z = d.tolist(), z.tolist()
-    keep = _rotate_close_poles(d, z, poles.tolist(), tol, (vecs,))
-    d, z, keep = np.array(d), np.array(z), np.array(keep)
+    d_list, z = d.tolist(), z.tolist()
+    keep = np.array(_rotate_close_poles(d_list, z, poles.tolist(), tol, (vecs,)))
+    d[:], z = d_list, np.array(z)
     return d, vecs, keep, (d[keep], z[keep], rho)
 
 
@@ -1011,9 +1006,9 @@ def _merge_vectors(d: np.ndarray, vecs: np.ndarray, keep: np.ndarray, problem: t
     """The second half of a merge: the poles keep of d and vecs become the roots' eigenpairs.
 
     d, vecs, keep and problem are _merge_deflate's, lam and delta
-    _secular_roots' for problem; d and vecs are updated in place. The
-    eigenvectors zhat_j / (d_j - lam_i) are built on _loewner's zhat and
-    reach vecs by one product.
+    _secular_roots' for problem; d and vecs, the node's slices, are updated
+    in place, which finishes the merge. The eigenvectors zhat_j / (d_j -
+    lam_i) are built on _loewner's zhat and reach vecs by one product.
     """
     poles, z, _ = problem
     zhat = _loewner(z, delta, poles[:, None] - poles[None, :])
@@ -1042,7 +1037,8 @@ def _tridiag_dc(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, i
     one depth of _tears at a time. The merges of a depth hold disjoint
     rows: each is deflated by _merge_deflate, the secular problems left
     are solved by one _secular_roots call, and each merge is finished by
-    _merge_vectors.
+    _merge_vectors. Both work in the node's slices of d and vecs, so no
+    merge is copied back.
     """
     n = d.size
     de = np.concatenate((d, e))
@@ -1074,8 +1070,6 @@ def _tridiag_dc(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, i
             for merge, (lam, delta, passes) in zip(solved, roots):
                 _merge_vectors(*merge, lam, delta)
                 total += passes
-        for (lo, _, hi, _), (d_merged, vecs_merged, _, _) in zip(level, merges):
-            d[lo:hi], vecs[lo:hi, lo:hi] = d_merged, vecs_merged
     order = np.argsort(d)[::-1]
     return d[order] * scale, vecs[:, order], total
 
@@ -1160,16 +1154,16 @@ def _bidiag_deflate(sig: np.ndarray, u: np.ndarray, v: np.ndarray, split: int,
     """The first half of a bidiagonal merge: the deflation, and the secular problem it leaves.
 
     The merge follows LAPACK's dlasd1/dlasd2. sig, u and v are a node's
-    blocks of _bidiag_dc's arrays: n rows, n + sq columns, row split the
-    merge row, which holds alpha at column split and beta at split + 1. u
-    and v hold the children's singular vectors, so u.T b v == [M, w]:
-    M == diag(D) + e_split z.T with D the children's singular values,
-    sig[split] read as D_split == 0 for the left child's null vector, and
-    z == alpha v[split] + beta v[split + 1], the last row of the left
-    child's v and the first row of the right's. With sq == 1, w is z's
-    last entry times e_split, the right child's null vector; a rotation of
-    the two null columns moves it into z_split, and the rotated column,
-    last in v, is the node's null vector.
+    slices of _bidiag_dc's arrays, and the merge works in them: n rows,
+    n + sq columns, row split the merge row, which holds alpha at column
+    split and beta at split + 1. u and v hold the children's singular
+    vectors, so u.T b v == [M, w]: M == diag(D) + e_split z.T with D the
+    children's singular values, sig[split] read as D_split == 0 for the
+    left child's null vector, and z == alpha v[split] + beta v[split + 1],
+    the last row of the left child's v and the first row of the right's.
+    With sq == 1, w is z's last entry times e_split, the right child's null
+    vector; a rotation of the two null columns moves it into z_split, and
+    the rotated column, last in v, is the node's null vector.
 
     The merge is divided by the power of two at or below max(|D|, |z|)
     (dlasd1's ORGNRM), so that the secular equation's squares neither
@@ -1179,39 +1173,38 @@ def _bidiag_deflate(sig: np.ndarray, u: np.ndarray, v: np.ndarray, split: int,
     its columns, with sigma == D_j; a pole close to the next is deflated by
     _rotate_close_poles, which turns u's and v's columns alike. The first
     pole left after the zero pole is moved up to tol / 2 if it is within
-    that of zero (dlasd2), so the poles stay distinct. Returns the scale;
-    the sorted, rotated D, u and v, copies; keep, the poles left, the zero
-    pole first; and their squared-mode secular problem (D[keep], z[keep], 1).
+    that of zero (dlasd2), so the poles stay distinct. sig becomes the
+    scaled D, and sig, u and v are sorted and rotated in place. Returns the
+    scale; sig, u and v; keep, the poles left, the zero pole first; and
+    their squared-mode secular problem (D[keep], z[keep], 1).
     """
     n = sig.size
     z = alpha * v[split] + beta * v[split + 1]
-    d = sig.copy()
-    d[split] = 0.0
-    peak = max(np.abs(d).max(), np.abs(z).max())
+    sig[split] = 0.0
+    peak = max(np.abs(sig).max(), np.abs(z).max())
     scale = power_of_two_below(peak)
-    d /= scale
+    sig /= scale
     z /= scale
     tol = 8.0 * _EPS * max(peak / scale, 1.0)
-    v = v.copy()
     if v.shape[1] > n:
         null = math.hypot(z[split], z[n])
         if null > tol:
             c, s = z[split] / null, z[n] / null
             v[:, [split, n]] = v[:, [split, n]] @ np.array([[c, -s], [s, c]])
             z[split] = null
-    key = d.copy()
+    key = sig.copy()
     key[split] = -1.0
     order = np.argsort(key, kind="stable")
-    d, z, u = d[order], z[order], u[:, order]
+    sig[:], z, u[:] = sig[order], z[order], u[:, order]
     v[:, :n] = v[:, order]
     z[0] = z[0] if abs(z[0]) > tol else tol
     poles = (1 + np.flatnonzero(np.abs(z[1:]) > tol)).tolist()
-    d, z = d.tolist(), z.tolist()
+    d, z = sig.tolist(), z.tolist()
     keep = [0] + (_rotate_close_poles(d, z, poles, tol, (u, v)) if poles else [])
     if len(keep) > 1 and abs(d[keep[1]]) <= 0.5 * tol:
         d[keep[1]] = 0.5 * tol
-    d, z, keep = np.array(d), np.array(z), np.array(keep)
-    return scale, d, u, v, keep, (d[keep], z[keep], 1.0)
+    sig[:], z, keep = d, np.array(z), np.array(keep)
+    return scale, sig, u, v, keep, (sig[keep], z[keep], 1.0)
 
 
 def _bidiag_vectors(scale: float, d: np.ndarray, u: np.ndarray, v: np.ndarray,
@@ -1220,11 +1213,12 @@ def _bidiag_vectors(scale: float, d: np.ndarray, u: np.ndarray, v: np.ndarray,
     """The second half of a bidiagonal merge: the poles keep become the roots' triplets.
 
     scale, d, u, v, keep and problem are _bidiag_deflate's, lam and delta
-    _secular_roots' for problem in squared mode; d, u and v are updated in
-    place, and d is scaled back. As in dlasd3, on _loewner's zhat for the
-    squared poles, M's right singular vector of sigma_i is zhat_j /
-    (D_j^2 - sigma_i^2), and its left one D_j zhat_j / (D_j^2 - sigma_i^2),
-    with -1 at the zero pole. Each reaches its factor by one product.
+    _secular_roots' for problem in squared mode; d, u and v, the node's
+    slices, are updated in place, which finishes the merge, and d is scaled
+    back. As in dlasd3, on _loewner's zhat for the squared poles, M's right
+    singular vector of sigma_i is zhat_j / (D_j^2 - sigma_i^2), and its left
+    one D_j zhat_j / (D_j^2 - sigma_i^2), with -1 at the zero pole. Each
+    reaches its factor by one product.
     """
     poles, z, _ = problem
     zhat = _loewner(z, delta, _squares_apart(poles[:, None], poles[None, :]))
@@ -1271,8 +1265,10 @@ def _bidiag_dc(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     The nodes are then merged bottom-up, one depth of the tree at a time:
     each by _bidiag_deflate, the depth's secular problems by one
     squared-mode _secular_roots call, each merge finished by
-    _bidiag_vectors. A merge solves for its n singular values over n poles,
-    where the Golub-Kahan tridiagonal's would solve for 2n eigenvalues.
+    _bidiag_vectors. Both work in the node's slices of sigma, u and v, so
+    no merge is copied back. A merge solves for its n singular values over
+    n poles, where the Golub-Kahan tridiagonal's would solve for 2n
+    eigenvalues.
     """
     k = d.size
     de = np.concatenate((d, e))
@@ -1313,10 +1309,9 @@ def _bidiag_dc(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
                                   r - lo, d[r], e[r]) for lo, r, hi, sq in level]
         roots = _secular_roots([merge[-1] for merge in merges], max_iter - total,
                                squared=True)
-        for (lo, _, hi, sq), merge, (lam, delta, passes) in zip(level, merges, roots):
+        for merge, (lam, delta, passes) in zip(merges, roots):
             _bidiag_vectors(*merge, lam, delta)
             total += passes
-            _, sigma[lo:hi], u[lo:hi, lo:hi], v[lo:hi + sq, lo:hi + sq], _, _ = merge
     order = np.argsort(sigma)[::-1]
     return sigma[order] * scale, u[:, order], v[:, order], total
 
@@ -1379,10 +1374,10 @@ def svd(a) -> SvdFactors:
             right.append(w)
     sigma_b, u_b, v_b, iterations = _bidiag_dc(np.diag(t), np.diag(t, 1))
     u_r, v_r = np.eye(m), np.eye(m)
-    u_r[:k, :k] = _apply_reflectors(_wy_blocks(right, k), k, v_b)
+    u_r[:k, :k] = _apply_reflectors(_wy_blocks(right, k), v_b)
     v_r[:k, :k] = u_b
     v = np.empty((m, m))
-    v[perm] = _apply_reflectors(_wy_blocks(left, m), m, v_r)
+    v[perm] = _apply_reflectors(_wy_blocks(left, m), v_r)
     sigma = np.zeros(m)
     sigma[:k] = sigma_b * scale
     u_side, v_side = (blocks, u_r), ([], v)

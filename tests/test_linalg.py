@@ -338,9 +338,11 @@ def test_blocked_householder_matches_reflector_loop(cols):
         assert [j for j, v in enumerate(reflectors) if not v.any()] == [cols // 2]
     assert fro(np.triu(blocked[:cols]) - np.triu(looped[:cols])) <= tol * fro(a)
     for top in (np.eye(cols), rng.standard_normal((cols, cols))):
-        got = linalg._apply_reflectors(blocks, n, top)
+        got = linalg._apply_reflectors(blocks, top)
         want = _reflector_loop_apply(refl, n, top)
         assert fro(got - want) <= tol * fro(top)
+        # No blocks: q is the identity on top's rows, and top comes back.
+        assert linalg._apply_reflectors([], top) is top
     # q.T applied in place, block by block, to a vector and to a matrix.
     for b in (rng.standard_normal(n), rng.standard_normal((n, 3))):
         got = b.copy()
@@ -366,12 +368,12 @@ _PIVOTED_INPUTS = {
 
 @pytest.mark.parametrize("a, rank", _PIVOTED_INPUTS.values(), ids=_PIVOTED_INPUTS.keys())
 def test_pivoted_reduce_picks_the_largest_remaining_column(a, rank):
-    n, m = a.shape
+    m = a.shape[1]
     work = a.copy()
     blocks, perm = linalg._pivoted_reduce(work)
     r = np.triu(work[:m])
     assert sorted(perm.tolist()) == list(range(m))
-    q = linalg._apply_reflectors(blocks, n, np.eye(m))
+    q = linalg._apply_reflectors(blocks, np.eye(m))
     assert fro(a[:, perm] - q @ r) <= 1e-12 * fro(a)
     # Businger-Golub: each pivot is at least the norm of every later column
     # on and below its row, up to round-off in the scale of a.
