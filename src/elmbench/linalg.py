@@ -29,9 +29,14 @@ PIVOT_RTOL = 1e-12
 SYMMETRY_RTOL = 1e-10
 EIGEN_ITER_FACTOR = 100
 # Reflectors per compact-WY block of the Householder kernel, and columns per
-# panel of modified Gram-Schmidt. Of 16, 24, 32 and 48, 32 gave the fastest
-# Householder reduction at 5000x500 and was within timing noise of the
-# fastest reduction plus q at 792x100 (1 BLAS thread).
+# panel of modified Gram-Schmidt. With each panel split recursively into
+# leaves of 8 columns, householder_qr read 3.69, 3.58 and 3.68 ms at 16, 32
+# and 64 on a 792x100 layer, and 252, 206 and 162 ms at 5000x500; MGS and
+# the two-sided reductions' reflector blocks share the width, so 64 waits
+# for a change that measures them too. Leaves have at most _NB // 4
+# columns: leaves of 4, 8 and 16 gave householder_qr 3.96, 4.06 and 4.55 ms
+# at 792x100, 64.1, 62.8 and 64.1 ms at 792x780 and 170, 166 and 173 ms at
+# 5000x500 (1 BLAS thread, alternating in one process, medians of 5 rounds).
 _NB = 32
 # Most rows of a block that divide and conquer solves by QL, not by tearing.
 # With one secular solve per tree level, leaves of 8, 16 and 32 rows gave
@@ -441,16 +446,49 @@ def _apply_qt(blocks: list, c: np.ndarray) -> None:
         rows -= v @ (t.T @ (v.T @ rows))
 
 
+def _reduce_panel(pt: np.ndarray, v: np.ndarray, t: np.ndarray) -> None:
+    """Reduce the transposed panel pt (cols x rows) in place; fill its compact-WY v and t.
+
+    v (rows x cols) and t (cols x cols), zero on entry, get the panel's
+    reflectors as _compact_wy lays them out, and t to round-off. At most
+    _NB // 4 columns are reduced one reflector at a time, each updating the
+    leaf's remaining columns only, and blocked by _compact_wy. A wider
+    panel is split in half (Elmroth & Gustavson, IBM J. Res. Dev. 44(4),
+    2000; LAPACK's dgeqrt3): the left half is reduced, its q1.T = I - v1
+    t1.T v1.T reaches the right half in one product, the right half is
+    reduced on the rows below the left half, and the two factors merge with
+    t12 = -t1 (v1.T v2) t2.
+    """
+    cols = pt.shape[0]
+    if cols <= _NB // 4:
+        reflectors = []
+        for i in range(cols):
+            u = _reflector(pt[i, i:])
+            pt[i:, i:] -= np.outer(2.0 * (pt[i:, i:] @ u), u)
+            reflectors.append(u)
+        v[:], t[:] = _compact_wy(reflectors, pt.shape[1])
+        return
+    h = cols // 2
+    v1, t1, v2, t2 = v[:, :h], t[:h, :h], v[h:, h:], t[h:, h:]
+    _reduce_panel(pt[:h], v1, t1)
+    right = pt[h:]
+    right -= ((right @ v1) @ t1) @ v1.T
+    _reduce_panel(pt[h:, h:], v2, t2)
+    t[:h, h:] = -t1 @ ((v1[h:].T @ v2) @ t2)
+
+
 def _householder_reduce(work: np.ndarray) -> list:
     """Reduce work (rows >= cols, C-contiguous) in place to upper-triangular form.
 
     Returns the compact-WY blocks (j0, v, t) of the reflectors, one per
-    panel of _NB columns, as _wy_blocks forms them. A column already zero
-    on and below the diagonal gets a zero reflector, the identity. Inside a
-    panel each reflector updates the panel's remaining columns only; then
-    the panel's block updates every column right of it at once, through
-    _apply_qt. The panel transposes and _apply_qt's products run on work's
-    layout, so their bits depend on it: work must be C-contiguous.
+    panel of _NB columns: the v that _wy_blocks would form from them and,
+    to round-off, its t. A column already zero on and below the diagonal
+    gets a zero reflector, the identity. Each panel is reduced transposed,
+    by _reduce_panel's recursive halves, so a reflector updates only the
+    columns of its leaf; then the panel's block updates every column right
+    of it at once, through _apply_qt. The panel transposes and the products
+    run on work's layout, so their bits depend on it: work must be
+    C-contiguous.
     """
     n, m = work.shape
     blocks = []
@@ -458,13 +496,10 @@ def _householder_reduce(work: np.ndarray) -> list:
         j1 = min(j0 + _NB, m)
         # The panel is reduced transposed, so each column is a contiguous row.
         panel = np.ascontiguousarray(work[j0:, j0:j1].T)
-        reflectors = []
-        for i in range(j1 - j0):
-            v = _reflector(panel[i, i:])
-            panel[i:, i:] -= np.outer(2.0 * (panel[i:, i:] @ v), v)
-            reflectors.append(v)
+        v, t = np.zeros((n - j0, j1 - j0)), np.zeros((j1 - j0, j1 - j0))
+        _reduce_panel(panel, v, t)
         work[j0:, j0:j1] = panel.T
-        blocks.append((j0, *_compact_wy(reflectors, n - j0)))
+        blocks.append((j0, v, t))
         if j1 < m:
             _apply_qt(blocks[-1:], work[:, j1:])
     return blocks
@@ -1316,13 +1351,48 @@ def _bidiag_dc(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     return sigma[order] * scale, u[:, order], v[:, order], total
 
 
+def _bidiagonalize(t: np.ndarray) -> tuple[np.ndarray, np.ndarray, list, list]:
+    """Reduce t (m x k, m >= k, C-contiguous) in place to upper bidiagonal form.
+
+    Returns the diagonal d, the superdiagonal e, the k left reflectors,
+    reflector j on rows j:, and the k right reflectors, reflector j on
+    columns j: and the first one zero, the identity. Step j reads the
+    trailing block rest = t[j:, j:] twice and rewrites it once (Howell et
+    al., ACM TOMS 34(3), 2008): v reflects column j, y = 2 v.T rest, and w
+    reflects row j as the left update leaves it, rest[0] - v[0] y, which
+    is not written back. Both updates then go in as one rank-2 product,
+    rest -= [v z] [y; w] with z = 2 (rest w - v (y.w)), as
+    hessenberg_reduce builds its steps.
+    """
+    m, k = t.shape
+    left, right = [], [np.zeros(k)]
+    # [v z] on t's m rows and [y; w] on its k columns. w's leading entry
+    # stays zero, so column j takes the left update only.
+    vz, yw = np.empty((m, 2)), np.zeros((2, k))
+    for j in range(k):
+        rest = t[j:, j:]
+        v = _reflector(rest[:, 0])
+        y = 2.0 * (v @ rest)
+        left.append(v)
+        if j == k - 1:
+            rest -= np.outer(v, y)
+            break
+        w = _reflector(rest[0, 1:] - v[0] * y[1:])
+        right.append(w)
+        a, b = vz[:m - j], yw[:, :k - j]
+        a[:, 0], b[0], b[1, 1:] = v, y, w
+        a[:, 1] = 2.0 * (rest[:, 1:] @ w - (y[1:] @ w) * v)
+        rest -= a @ b
+    return np.diag(t), np.diag(t, 1), left, right
+
+
 def svd(a) -> SvdFactors:
     """Thin SVD by Golub-Kahan bidiagonalization and bidiagonal divide and conquer.
 
     A wide matrix is factored through its transpose. Every other n x m
-    matrix, square or tall, is first reduced by the blocked reduction
-    a == q r to its m x m triangular factor r (Chan, ACM TOMS 8(1), 1982).
-    Then:
+    matrix, square or tall, is first reduced by _householder_reduce's
+    recursive panels, a == q r, to its m x m triangular factor r (Chan,
+    ACM TOMS 8(1), 1982). Then:
 
     - if r has a diagonal entry below _zero_below the largest, the reduction
       is discarded and a is reduced again, by the column-pivoted reduction
@@ -1331,10 +1401,12 @@ def svd(a) -> SvdFactors:
       later row of r exactly zero. Only the k rows above the first zero
       pivot go on; the trailing m - k singular values are exact zeros. Any
       other r has full rank and goes on whole, with perm the identity;
-    - t == r[:k].T, m x k, is bidiagonalized by reflectors on rows j:
-      from the left and on columns j + 1: from the right, t == pl [b; 0]
-      pr.T with b upper bidiagonal, diagonal d and superdiagonal f (Golub &
-      Kahan, SIAM J. Numer. Anal. 2(2), 1965);
+    - t == r[:k].T, m x k, is bidiagonalized by _bidiagonalize, by
+      reflectors on rows j: from the left and on columns j + 1: from the
+      right, t == pl [b; 0] pr.T with b upper bidiagonal, diagonal d and
+      superdiagonal e (Golub & Kahan, SIAM J. Numer. Anal. 2(2), 1965).
+      Each step's two reflectors update the trailing block in one rank-2
+      product, one pass over it;
     - _bidiag_dc gives b == u_b diag(sigma) v_b.T under its scale, budget
       and order rules.
 
@@ -1359,20 +1431,8 @@ def svd(a) -> SvdFactors:
         blocks, perm = _pivoted_reduce(work)
         # An all-zero r still bidiagonalizes one zero column, to sigma == 0.
         k = max(int(np.count_nonzero(np.diag(work))), 1)
-    t = np.ascontiguousarray(np.triu(work[:k]).T)
-    # Right reflector j acts on columns j + 1:, so it is stored at index j + 1.
-    left, right = [], [np.zeros(k)]
-    for j in range(k):
-        v = _reflector(t[j:, j])
-        rest = t[j:, j:]
-        rest -= np.outer(v, 2.0 * (v @ rest))
-        left.append(v)
-        if j < k - 1:
-            w = _reflector(t[j, j + 1:])
-            rest = t[j:, j + 1:]
-            rest -= np.outer(2.0 * (rest @ w), w)
-            right.append(w)
-    sigma_b, u_b, v_b, iterations = _bidiag_dc(np.diag(t), np.diag(t, 1))
+    d, e, left, right = _bidiagonalize(np.ascontiguousarray(np.triu(work[:k]).T))
+    sigma_b, u_b, v_b, iterations = _bidiag_dc(d, e)
     u_r, v_r = np.eye(m), np.eye(m)
     u_r[:k, :k] = _apply_reflectors(_wy_blocks(right, k), v_b)
     v_r[:k, :k] = u_b

@@ -322,7 +322,8 @@ def _reflectors_of(blocks):
     return [v[i:, i] for _, v, _ in blocks for i in range(v.shape[1])]
 
 
-@pytest.mark.parametrize("cols", [1, linalg._NB - 1, linalg._NB + 1, 2 * linalg._NB + 1])
+# 100 columns end in a panel of 4, narrower than a recursion leaf.
+@pytest.mark.parametrize("cols", [1, linalg._NB - 1, linalg._NB + 1, 2 * linalg._NB + 1, 100])
 def test_blocked_householder_matches_reflector_loop(cols):
     rng = np.random.default_rng(41)
     a = rng.standard_normal((cols + 15, cols))
@@ -337,6 +338,10 @@ def test_blocked_householder_matches_reflector_loop(cols):
     for reflectors in (refl, ref_refl):
         assert [j for j, v in enumerate(reflectors) if not v.any()] == [cols // 2]
     assert fro(np.triu(blocked[:cols]) - np.triu(looped[:cols])) <= tol * fro(a)
+    # The recursive halves' merged t is the block's own compact-WY t.
+    for j0, v, t in blocks:
+        own = [v[i:, i] for i in range(v.shape[1])]
+        assert fro(t - linalg._compact_wy(own, n - j0)[1]) <= tol * fro(t)
     for top in (np.eye(cols), rng.standard_normal((cols, cols))):
         got = linalg._apply_reflectors(blocks, top)
         want = _reflector_loop_apply(refl, n, top)
@@ -1234,6 +1239,61 @@ def test_svd_reduces_every_shape_once_by_the_tall_reduction(monkeypatch):
         calls.clear()
         svd(shaped)
         assert calls == [want], shaped.shape
+
+
+def _two_pass_bidiagonalize(t):
+    """Reference: each step applies its left reflector, then its right one."""
+    k = t.shape[1]
+    left, right = [], [np.zeros(k)]
+    for j in range(k):
+        v = linalg._reflector(t[j:, j])
+        rest = t[j:, j:]
+        rest -= np.outer(v, 2.0 * (v @ rest))
+        left.append(v)
+        if j < k - 1:
+            w = linalg._reflector(t[j, j + 1:])
+            rest = t[j:, j + 1:]
+            rest -= np.outer(2.0 * (rest @ w), w)
+            right.append(w)
+    return np.diag(t).copy(), np.diag(t, 1).copy(), left, right
+
+
+def _rank_deficient_t():
+    # svd's t on its rank-deficient path: the leading k rows of the pivoted
+    # r, transposed, m x k with m > k.
+    work = np.random.default_rng(533).standard_normal((60, 45))
+    work[:, ::4] = 0.0
+    linalg._pivoted_reduce(work)
+    k = int(np.count_nonzero(np.diag(work)))
+    return np.ascontiguousarray(np.triu(work[:k]).T)
+
+
+_BIDIAGONALIZE_INPUTS = {
+    **{f"square-{k}": np.random.default_rng(534 + k).standard_normal((k, k))
+       for k in (1, 2, 33, 100)},
+    "tall-rank-deficient": _rank_deficient_t(),
+}
+
+
+@pytest.mark.parametrize("name", list(_BIDIAGONALIZE_INPUTS))
+def test_one_pass_bidiagonalization_matches_the_two_pass_loop(name):
+    t = _BIDIAGONALIZE_INPUTS[name]
+    m, k = t.shape
+    assert m > k or name.startswith("square")
+    d, e, left, right = linalg._bidiagonalize(t.copy())
+    want_d, want_e, want_left, want_right = _two_pass_bidiagonalize(t.copy())
+    # The rank-2 update reorders the sums, so agreement is to round-off.
+    tol = 100 * m * np.finfo(float).eps
+    assert fro(d - want_d) <= tol * fro(t)
+    assert fro(e - want_e) <= tol * fro(t)
+    assert (len(left), len(right)) == (k, k)
+    assert not right[0].any()
+    # A unit reflector of x moves by about the error in x over ||x||, and
+    # ||x|| is |d[j]| for left reflector j and |e[j - 1]| for right one j.
+    for got, want, norm in zip(left + right[1:], want_left + want_right[1:],
+                               np.abs(np.concatenate([want_d, want_e]))):
+        assert got.shape == want.shape
+        assert fro(got - want) <= tol * fro(t) / norm
 
 
 def test_svd_halves_take_the_householder_qr_only_when_degenerate(monkeypatch):
