@@ -95,7 +95,12 @@ class QrFactors:
 
 @dataclass(frozen=True)
 class SimilarityFactors:
-    """Orthogonal similarity a == q @ t @ q.T.
+    """Orthogonal similarity a == q @ t @ q.T, t tridiagonal or diagonal.
+
+    hessenberg_reduce leaves t tridiagonal and schur_decompose leaves it
+    diagonal. Both solve by q @ _thomas(t, q.T @ b), in which a zero
+    coupling takes no elimination step, so a diagonal t costs one division
+    per row.
 
     iterations counts Schur's work as _tridiag_dc counts it, against
     _tridiag_dc's budget for the n x n tridiagonal; a direct reduction
@@ -286,7 +291,10 @@ def lu_decompose(a) -> LuFactors:
 
 def _as_rhs(b, name: str, rows: int) -> np.ndarray:
     """A validated copy of b, a vector or a matrix of columns, with rows rows."""
-    b = _as_array(b, name, 2 if np.ndim(b) == 2 else 1)
+    ndim = np.ndim(b)
+    if ndim not in (1, 2):
+        raise DimensionMismatch(f"{name} must be a vector or a matrix of columns, got {ndim}-D")
+    b = _as_array(b, name, ndim)
     if b.shape[0] != rows:
         raise DimensionMismatch(f"{name} has {b.shape[0]} rows, expected {rows}")
     return b
@@ -793,19 +801,6 @@ def _tridiag_eigen(d: np.ndarray, e: np.ndarray, zt: np.ndarray,
     return np.array(d), total
 
 
-@dataclass(frozen=True)
-class _SchurFactors(SimilarityFactors):
-    """SimilarityFactors whose t is diagonal: the eigenvalues, descending."""
-
-    @_QUIET
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """x with a @ x == b; SingularMatrix below _zero_below(max |t|)."""
-        b, eigs = _as_rhs(b, "b", self.q.shape[0]), np.diag(self.t)
-        if np.abs(eigs).min() < _zero_below(np.abs(eigs).max()):
-            raise SingularMatrix("eigenvalue of the normal matrix is below tolerance")
-        return _finite(self.q @ ((self.q.T @ b) / _by_row(eigs, b)))
-
-
 def _tears(lo: int, hi: int, leaf: int = _LEAF, skip: int = 0) -> list:
     """The (lo, mid, hi) splits that halve rows lo:hi into blocks of <= leaf rows.
 
@@ -1116,11 +1111,14 @@ def schur_decompose(a) -> SimilarityFactors:
     tridiagonal's eigenpairs by divide and conquer, _tridiag_dc, whose
     scale, budget and order rules hold here. t is diagonal with the
     eigenvalues in descending order, and q is the reduction's q times the
-    matching eigenvectors.
+    matching eigenvectors. The factors solve as hessenberg_reduce's do,
+    through Thomas elimination, whose pivots here are the eigenvalues: an
+    eigenvalue below _zero_below the largest |eigenvalue| raises
+    SingularMatrix naming its row.
     """
     base = hessenberg_reduce(a)
     d, vecs, iterations = _tridiag_dc(np.diag(base.t), np.diag(base.t, -1))
-    return _SchurFactors(q=base.q @ vecs, t=np.diag(d), iterations=iterations)
+    return SimilarityFactors(q=base.q @ vecs, t=np.diag(d), iterations=iterations)
 
 
 @_QUIET
@@ -1130,37 +1128,46 @@ def tridiagonal_solve(t, b) -> np.ndarray:
     b may be a vector or a matrix of right-hand-side columns; only the three
     central diagonals of t are read, so the cost is O(n) per column. Raises
     SingularMatrix when an elimination pivot falls below _zero_below the
-    largest entry of t.
+    largest entry of those diagonals.
     """
     return _finite(_thomas(*_square_system(t, b, "t", "b")))
 
 
 def _thomas(t: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve t @ x = b by Thomas elimination, reading only t's three central diagonals."""
+    """Solve t @ x = b by Thomas elimination, reading only t's three central diagonals.
+
+    t is tridiagonal or diagonal. A zero coupling takes no elimination step,
+    since x - 0 * y is x, so a diagonal t costs about one division per row.
+    A matrix b is overwritten by the answer and returned.
+    """
     n = t.shape[0]
-    peak = np.abs(t).max()
+    bands = [np.diag(t, k) for k in (0, -1, 1)]
+    peak = max(np.abs(band).max(initial=0.0) for band in bands)
     # The sweeps solve (t / scale) y == b, so no elimination pivot of a huge
     # t overflows; x is y / scale. A power of two rounds nothing, so
     # neither the pivot test nor the answer changes a bit on other input.
     scale = power_of_two_below(peak)
     floor = _zero_below(peak) / scale
     # The sweeps run on Python floats, which are faster here than numpy's.
-    # A row of rhs is a float for a vector b and a row array for a matrix,
-    # so one loop serves both.
-    diag, lower, upper = ((np.diag(t, k) / scale).tolist() for k in (0, -1, 1))
-    rhs = b.tolist() if b.ndim == 1 else list(b)
+    # A row of x is a float for a vector b and a row of b, updated in
+    # place, for a matrix, so one loop serves both.
+    diag, lower, upper = ((band / scale).tolist() for band in bands)
+    x = b.tolist() if b.ndim == 1 else b
     # Thomas elimination: sweep down, then back-substitute.
     for i in range(n):
-        if i > 0:
+        if i > 0 and lower[i - 1]:
             w = lower[i - 1] / diag[i - 1]
             diag[i] -= w * upper[i - 1]
-            rhs[i] = rhs[i] - w * rhs[i - 1]
+            x[i] -= w * x[i - 1]
         if abs(diag[i]) < floor:
             raise SingularMatrix(f"vanishing pivot at row {i}")
-    rhs[n - 1] = rhs[n - 1] / diag[n - 1]
-    for i in range(n - 2, -1, -1):
-        rhs[i] = (rhs[i] - upper[i] * rhs[i + 1]) / diag[i]
-    return np.array(rhs) / scale
+    for i in range(n - 1, -1, -1):
+        if i < n - 1 and upper[i]:
+            x[i] -= upper[i] * x[i + 1]
+        x[i] /= diag[i]
+    x = np.asarray(x)
+    x /= scale
+    return x
 
 
 # ---------------------------------------------------------------------------

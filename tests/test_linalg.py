@@ -20,6 +20,7 @@ from elmbench import (
     Dataset,
     ElmConfig,
     EpochSet,
+    SimilarityFactors,
     SolverKind,
     apply_normalizer,
     backward_substitute,
@@ -913,6 +914,31 @@ def test_schur_rejects_asymmetric():
         schur_decompose(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
+def _schur_solve_by_division(f, b):
+    """Reference: the solve Schur's factors had of their own, dividing by t's diagonal."""
+    eigs = np.diag(f.t)
+    return f.q @ ((f.q.T @ b) / (eigs if b.ndim == 1 else eigs[:, None]))
+
+
+def test_schur_solves_through_the_similarity_factors():
+    # Thomas elimination on a diagonal t divides each row by its eigenvalue
+    # and does nothing else, so the shared solve has the division's bits.
+    x = np.random.default_rng(75).uniform(0.0, 1.0, (120, 16))
+    cfg = ElmConfig(hidden_neurons=40, rng_seed=75)
+    weights, biases = init_random_layer(cfg, 16)
+    h = hidden_output(x, weights, biases, cfg.activation)
+    t = (np.random.default_rng(76).random(120) < 0.5).astype(float)
+    f = schur_decompose(h.T @ h + 0.1 * np.eye(40))
+    assert type(f) is SimilarityFactors
+    for b in (h.T @ t, h.T):
+        assert np.array_equal(f.solve(b), _schur_solve_by_division(f, b))
+
+
+def test_schur_solve_names_the_vanishing_eigenvalue_row():
+    with pytest.raises(SingularMatrix, match="vanishing pivot at row 1$"):
+        schur_decompose(np.diag([1.0, 0.0])).solve(np.ones(2))
+
+
 def test_tridiagonal_solve_identity():
     b = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
     assert np.array_equal(tridiagonal_solve(np.eye(3), b), b)
@@ -980,6 +1006,43 @@ def test_tridiagonal_solve_of_a_t_near_the_largest_float():
     x = tridiagonal_solve(t, np.ones(3))
     assert np.abs(t @ x - 1.0).max() <= 1e-12
     assert np.abs(x - [0.0, 1e-300, 0.0]).max() <= 1e-12 * 1e-300
+
+
+def test_tridiagonal_solve_ignores_entries_off_its_band():
+    # The scale and the pivot floor come from the three central diagonals
+    # only: over all of t, the 1e3 corner would make the 1e-10 pivot vanish.
+    t = np.array([[1e-10, 0.0, 1e3], [0.0, 1.0, 0.0], [5e2, 0.0, 1.0]])
+    band = np.triu(np.tril(t, 1), -1)
+    rng = np.random.default_rng(71)
+    wide = rng.standard_normal((6, 6))
+    wide_band = np.triu(np.tril(wide, 1), -1) + 4.0 * np.eye(6)
+    for full, tri in ((t, band), (wide_band + 1e6 * np.triu(wide, 2), wide_band)):
+        for b in (np.ones(tri.shape[0]), rng.standard_normal((tri.shape[0], 3))):
+            assert np.array_equal(tridiagonal_solve(full, b), tridiagonal_solve(tri, b))
+    assert np.array_equal(tridiagonal_solve(t, np.ones(3)), [1e10, 1.0, 1.0])
+
+
+def test_tridiagonal_solve_treats_a_zero_coupling_as_two_blocks():
+    # A zero coupling takes no elimination step, so each block's rows get
+    # the bits of that block's own solve, for a vector and for columns.
+    rng = np.random.default_rng(73)
+    blocks = []
+    for size in (5, 4):
+        off = rng.uniform(-1.0, 1.0, size - 1)
+        blocks.append(np.diag(rng.uniform(4.0, 6.0, size)) + np.diag(off, 1) + np.diag(off, -1))
+    t = np.zeros((9, 9))
+    t[:5, :5], t[5:, 5:] = blocks
+    assert t[5, 4] == t[4, 5] == 0.0
+    for b in (rng.standard_normal(9), rng.standard_normal((9, 3))):
+        x = tridiagonal_solve(t, b)
+        assert np.array_equal(x[:5], tridiagonal_solve(blocks[0], b[:5]))
+        assert np.array_equal(x[5:], tridiagonal_solve(blocks[1], b[5:]))
+    # A coupling that is zero on one side only still takes its step.
+    for row, col in ((5, 4), (4, 5)):
+        one_sided = t.copy()
+        one_sided[row, col] = 1.0
+        x = tridiagonal_solve(one_sided, b)
+        assert fro(one_sided @ x - b) <= 1e-13 * fro(b)
 
 
 # ---------------------------------------------------------------------------
@@ -1576,7 +1639,10 @@ def test_public_entry_points_refuse_complex_input(case):
     (lambda: solve_output_weights(np.eye(2), np.ones((2, 1)), SolverKind.LU),
      "targets must be 1-D, got 2-D"),
     (lambda: solve_output_weights(np.eye(2), [], SolverKind.LU), "targets must not be empty"),
-], ids=["matrix-not-2-D", "matrix-empty", "vector-not-1-D", "vector-empty"])
+    (lambda: tridiagonal_solve(np.eye(2), np.ones((2, 2, 1))),
+     "b must be a vector or a matrix of columns, got 3-D"),
+], ids=["matrix-not-2-D", "matrix-empty", "vector-not-1-D", "vector-empty",
+        "rhs-not-1-D-or-2-D"])
 def test_public_entry_points_refuse_bad_shapes(call, message):
     with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
         call()
@@ -1631,6 +1697,9 @@ def test_factor_solve_validates_the_right_hand_side(case):
     for short_or_long in (b[:-1], np.append(b, 1.0), np.ones((rows + 1, 2))):
         with pytest.raises(DimensionMismatch, match="^b has"):
             fac.solve(short_or_long)
+    with pytest.raises(DimensionMismatch,
+                       match="^b must be a vector or a matrix of columns, got 3-D$"):
+        fac.solve(np.ones((rows, 2, 1)))
     b[1] = np.nan
     with pytest.raises(ValueError, match="NaN"):
         fac.solve(b)
